@@ -107,10 +107,9 @@ def _cmd_encode(args, out):
     else:
         if not args.levels:
             raise InfeasibleParameters("--levels is required for the coop scheme")
-        levels = [int(v) for v in args.levels.split(",")]
         labeling = enc_mod.make_pam(args.ma)
         symbols = []
-        for k in levels:
+        for k in args.levels:
             symbols.extend(enc_mod.encode_coop(queues, [k], labeling))
         if not queues.exhausted:
             raise InfeasibleParameters("bits left over after the supplied levels")
@@ -150,10 +149,9 @@ def _cmd_mimo(args, out):
         raise InfeasibleParameters(
             f"no interference-free dimensions for (M, N) = ({args.m}, {args.n})"
         )
-    snr_db = [float(v) for v in args.snr_db.split(",")]
     method = {"zf": "zf", "opt": "optimized"}[args.method]
     rows = []
-    for db in snr_db:
+    for db in args.snr_db:
         result = mimo_mod.ergodic_capacity_mc(
             args.m, args.n, d, [10 ** (db / 10)], args.trials, args.seed, method
         )
@@ -199,6 +197,20 @@ def _cmd_figure(args, out):
     _write_csv(rows, header, args.csv, out)
 
 
+def _list_of(kind):
+    """Argparse type for a comma-separated list of `kind` values."""
+
+    def parse(text: str) -> list:
+        try:
+            return [kind(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            ) from None
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pnc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -214,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="secrecy-rate bounds and gaps as JSON")
     add_orders(p)
-    p.add_argument("--json", action="store_true", help="JSON output (always on)")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("encode", help="encode public/secret bit queues to symbols")
@@ -223,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("alice", "bob"), default="bob")
     p.add_argument("--public", default="", help="public bit string")
     p.add_argument("--secret", default="", help="secret bit string")
-    p.add_argument("--levels", help="comma-separated secret-bit counts (coop)")
+    p.add_argument(
+        "--levels", type=_list_of(int), help="comma-separated secret-bit counts (coop)"
+    )
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("audit", help="exact leakage report as JSON")
@@ -242,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="relay antennas M")
     p.add_argument("--n", type=int, required=True, help="user antennas N")
     p.add_argument("--dim", action="store_true", help="print dof and manifold dimension")
-    p.add_argument("--snr-db", default="0,5,10,15,20")
+    p.add_argument("--snr-db", type=_list_of(float), default="0,5,10,15,20")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--method", choices=("zf", "opt"), default="zf")

@@ -22,8 +22,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .bounds import Side, guaranteed_entropy_pam, ub_nocoop, ub_pam
 from .constellation import PamConstellation, _validate_orders, make_pam
+from .info import joint_counts, mi_bits
 
 __all__ = [
     "SecrecyPartition",
@@ -188,7 +191,7 @@ def decode_stream(
     pam = peer_partition.constellation
     m = pam.bits_per_symbol
     public, secret = [], []
-    for y, own in zip(sums, own_symbols):
+    for y, own in zip(sums, own_symbols, strict=True):
         x = y - own
         if x not in pam:
             raise ValueError(f"recovered value {x} is not a {pam.order}-PAM point")
@@ -243,7 +246,7 @@ def decode_coop(
     pam = make_pam(M_A)
     m = pam.bits_per_symbol
     public, secret = [], []
-    for y, own in zip(sums, own_symbols):
+    for y, own in zip(sums, own_symbols, strict=True):
         x = y - own
         if x not in pam:
             raise ValueError(f"recovered value {x} is not a {M_A}-PAM point")
@@ -281,12 +284,15 @@ SCHEMES = ("nocoop_alice", "nocoop_bob", "coop")
 
 @dataclass(frozen=True)
 class LeakageReport:
-    """Exact mutual-information figures and posterior tables for a scheme.
+    """Exact mutual-information figures and joint counts for a scheme.
 
     suffix_mi[j-1] is I(Y; suffix_j(X)) over the relay's full observation;
     semantic_mi is I(Y; (K, S)) with K the per-symbol secret-bit count and
     S the secret string.  The flat_* fields restrict to flat-region
-    observations |y| <= M_B - M_A.  Posteriors are keyed by observation.
+    observations |y| <= M_B - M_A.  suffix_counts[j-1] and semantic_counts
+    are the (table, y values, secret keys) triples of
+    :func:`pnc.info.joint_counts` behind those figures; the posterior tables,
+    keyed by observation, are computed from them on access.
     """
 
     scheme: str
@@ -295,109 +301,79 @@ class LeakageReport:
     semantic_mi: float
     flat_suffix_mi: tuple[float, ...]
     flat_semantic_mi: float
-    suffix_posteriors: dict
-    semantic_posteriors: dict
+    suffix_counts: tuple = field(repr=False, compare=False)
+    semantic_counts: tuple = field(repr=False, compare=False)
+
+    @property
+    def suffix_posteriors(self) -> dict:
+        """{j: {y: {last j label bits: P(suffix | y)}}} as exact Fractions."""
+        return {
+            j: _posterior(counts, lambda v, j=j: format(v, f"0{j}b"))
+            for j, counts in enumerate(self.suffix_counts, start=1)
+        }
+
+    @property
+    def semantic_posteriors(self) -> dict:
+        """{y: {(K, S): P(K, S | y)}} as exact Fractions."""
+        return _posterior(self.semantic_counts, _semantic_content)
 
 
-def _mi_from_counts(cells: dict, total: int) -> float:
-    """I(A; B) in bits from integer joint counts over (a, b) keys.
-
-    Exactly 0.0 whenever every cell count factorizes as the product of its
-    marginals over the grand total.
-    """
-    ca: dict = {}
-    cb: dict = {}
-    for (a, b), c in cells.items():
-        ca[a] = ca.get(a, 0) + c
-        cb[b] = cb.get(b, 0) + c
-    if all(c * total == ca[a] * cb[b] for (a, b), c in cells.items()):
-        return 0.0
-    return sum(
-        (c / total) * math.log2(c * total / (ca[a] * cb[b]))
-        for (a, b), c in cells.items()
-    )
+def _semantic_content(key: int) -> tuple[int, str]:
+    """(K, S) from its key (1 << K) | S, where S holds the trailing K label bits."""
+    return key.bit_length() - 1, format(key, "b")[1:]
 
 
-def _secret_content(scheme: str, xa: int, xb: int, parts: dict, M_A: int, M_B: int):
-    """(carrier point, carrier labeling, K, S) for one transmitted pair."""
-    if scheme == "nocoop_bob":
-        part = parts["bob"]
-        x, pam = xb, part.constellation
-        k = part.level_of(x)
-    elif scheme == "nocoop_alice":
-        part = parts["alice"]
-        x, pam = xa, part.constellation
-        k = part.level_of(x)
-    else:  # coop: Alice's symbol carries the bits, Bob's symbol sets the count
-        pam = parts["alice"].constellation
-        x = xa
-        k = coop_level(xb, M_A, M_B)
-    label = pam.label(x)
-    s = label[len(label) - k :] if k else ""
-    return x, pam, k, s
+def _posterior(counts: tuple, decode) -> dict:
+    table, ys, keys = counts
+    values = [decode(v) for v in keys.tolist()]
+    return {
+        y: {v: Fraction(c, sum(row)) for v, c in zip(values, row) if c}
+        for y, row in zip(ys.tolist(), table.tolist())
+    }
 
 
 def audit_leakage(scheme: str, M_A: int, M_B: int) -> LeakageReport:
     """Exact enumeration of what the relay's observation reveals.
 
-    Enumerates all M_A * M_B equiprobable symbol pairs and tabulates, per
-    observation y, the joint counts with (a) every label suffix of the
-    secret-carrying symbol and (b) the variable-length secret content
-    (K, S).  Mutual informations are reported both unconditionally and
-    restricted to the flat region.
+    Enumerates all M_A * M_B equiprobable symbol pairs as rank arrays and
+    tabulates the joint counts of the observation y = x_A + x_B with (a)
+    every label suffix of the secret-carrying symbol and (b) the
+    variable-length secret content (K, S).  Mutual informations are
+    reported both unconditionally and restricted to the flat region.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}")
     _validate_orders(M_A, M_B)
     m_a = M_A.bit_length() - 1
-    parts = {
-        "alice": build_partition(M_A, M_B, "alice"),
-        "bob": build_partition(M_A, M_B, "bob"),
-    }
     a, b = make_pam(M_A), make_pam(M_B)
+    shape = (M_A, M_B)
+    y = (np.array(a.points)[:, None] + np.array(b.points)).ravel()
+    if scheme == "coop":
+        # Alice's symbol carries the bits, Bob's symbol sets the count
+        rank = np.arange(M_A)[:, None]
+        level = np.array([coop_level(x, M_A, M_B) for x in b.points])
+    else:
+        side = scheme.removeprefix("nocoop_")
+        part = build_partition(M_A, M_B, side)
+        level = np.array([part.level_of(x) for x in part.constellation.points])
+        rank = np.arange(level.size)
+        if side == "alice":  # Alice's symbols run down the rows
+            rank, level = rank[:, None], level[:, None]
+    rank = np.broadcast_to(rank, shape).ravel()
+    level = np.broadcast_to(level, shape).ravel()
     flat_lim = M_B - M_A
 
-    suffix_cells = {j: {} for j in range(1, m_a + 1)}
-    flat_suffix_cells = {j: {} for j in range(1, m_a + 1)}
-    semantic_cells: dict = {}
-    flat_semantic_cells: dict = {}
-    flat_total = 0
-    for xa in a.points:
-        for xb in b.points:
-            y = xa + xb
-            x, pam, k, s = _secret_content(scheme, xa, xb, parts, M_A, M_B)
-            label = pam.label(x)
-            in_flat = abs(y) <= flat_lim
-            if in_flat:
-                flat_total += 1
-            for j in range(1, m_a + 1):
-                suf = label[len(label) - j :]
-                key = (y, suf)
-                suffix_cells[j][key] = suffix_cells[j].get(key, 0) + 1
-                if in_flat:
-                    flat_suffix_cells[j][key] = flat_suffix_cells[j].get(key, 0) + 1
-            key = (y, (k, s))
-            semantic_cells[key] = semantic_cells.get(key, 0) + 1
-            if in_flat:
-                flat_semantic_cells[key] = flat_semantic_cells.get(key, 0) + 1
+    def audit(secret_keys):
+        counts = joint_counts(y, secret_keys)
+        table, ys, _ = counts
+        return counts, mi_bits(table), mi_bits(table[np.abs(ys) <= flat_lim])
 
-    total = M_A * M_B
-    suffix_mi = tuple(_mi_from_counts(suffix_cells[j], total) for j in range(1, m_a + 1))
-    flat_suffix_mi = tuple(
-        _mi_from_counts(flat_suffix_cells[j], flat_total) for j in range(1, m_a + 1)
+    suffix_counts, suffix_mi, flat_suffix_mi = zip(
+        *(audit(rank & ((1 << j) - 1)) for j in range(1, m_a + 1))
     )
-    semantic_mi = _mi_from_counts(semantic_cells, total)
-    flat_semantic_mi = _mi_from_counts(flat_semantic_cells, flat_total)
-
-    def posterior(cells: dict) -> dict:
-        per_y: dict = {}
-        for (y, v), c in cells.items():
-            per_y.setdefault(y, {})[v] = c
-        return {
-            y: {v: Fraction(c, sum(vals.values())) for v, c in vals.items()}
-            for y, vals in per_y.items()
-        }
-
+    # (K, S) as the single integer key (1 << K) | S
+    lead = 1 << level
+    semantic_counts, semantic_mi, flat_semantic_mi = audit(lead | (rank & (lead - 1)))
     return LeakageReport(
         scheme=scheme,
         m_a=m_a,
@@ -405,6 +381,6 @@ def audit_leakage(scheme: str, M_A: int, M_B: int) -> LeakageReport:
         semantic_mi=semantic_mi,
         flat_suffix_mi=flat_suffix_mi,
         flat_semantic_mi=flat_semantic_mi,
-        suffix_posteriors={j: posterior(suffix_cells[j]) for j in range(1, m_a + 1)},
-        semantic_posteriors=posterior(semantic_cells),
+        suffix_counts=suffix_counts,
+        semantic_counts=semantic_counts,
     )

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from audit_oracle import reference_audit
 
 from pnc.constellation import make_pam
 from pnc.encoders import SCHEMES, audit_leakage, build_partition, coop_level
@@ -99,6 +100,27 @@ class TestSemanticLeakage:
         r = audit_leakage("coop", 8, 32)
         assert r.semantic_mi == pytest.approx(1.0799969723501772, abs=1e-14)
         assert r.flat_semantic_mi == pytest.approx(0.7543388278916858, abs=1e-14)
+
+
+ORDER_GRID = [(M_A, k * M_A) for M_A in (2, 4, 8, 16) for k in (2, 4, 8)]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("M_A,M_B", ORDER_GRID)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_reference(self, scheme, M_A, M_B):
+        r = audit_leakage(scheme, M_A, M_B)
+        ref = reference_audit(scheme, M_A, M_B)
+        for name in ("suffix_mi", "semantic_mi", "flat_suffix_mi", "flat_semantic_mi"):
+            got, want = getattr(r, name), getattr(ref, name)
+            if isinstance(want, float):
+                got, want = (got,), (want,)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert (g == 0.0) == (w == 0.0), name  # exact zeros in the same places
+                assert g == pytest.approx(w, rel=1e-12, abs=0), name
+        assert r.suffix_posteriors == ref.suffix_posteriors
+        assert r.semantic_posteriors == ref.semantic_posteriors
 
 
 class TestValidation:

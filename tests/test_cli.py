@@ -72,6 +72,17 @@ class TestEncode:
         assert code == EXIT_INFEASIBLE
         assert "levels" in err
 
+    def test_malformed_levels_exit_2(self, capsys):
+        code, out, _ = invoke(
+            [
+                "encode", "--ma", "4", "--mb", "16", "--scheme", "coop",
+                "--levels", "a,b", "--public", "01",
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--levels" in capsys.readouterr().err  # argparse reports to sys.stderr
+
 
 class TestProfile:
     def test_rows(self):
@@ -147,6 +158,12 @@ class TestMimo:
         lines = out.strip().splitlines()
         assert lines[0] == "snr_db,mean_capacity_bits"
         assert len(lines) == 3
+
+    def test_malformed_snr_exit_2(self, capsys):
+        code, out, _ = invoke(["mimo", "--m", "3", "--n", "2", "--snr-db", "x"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--snr-db" in capsys.readouterr().err
 
     def test_infeasible_geometry_exit_3(self):
         code, _, _ = invoke(["mimo", "--m", "5", "--n", "2", "--trials", "2"])

@@ -110,6 +110,11 @@ class TestTreeEncoder:
         with pytest.raises(ValueError):
             decode_stream([100], [1], part)
 
+    def test_decode_rejects_length_mismatch(self):
+        part = build_partition(4, 16, "bob")
+        with pytest.raises(ValueError):
+            decode_stream([1, 3, 5], [0], part)
+
     @pytest.mark.parametrize("M_A,M_B", [(4, 16), (8, 32), (16, 64)])
     @pytest.mark.parametrize("side", ["alice", "bob"])
     def test_random_round_trips(self, M_A, M_B, side):
@@ -172,6 +177,10 @@ class TestCooperativeScheme:
         public, secret = decode_coop(sums, own, M_A, M_B)
         assert public == q.public_bits[: q.public_cursor]
         assert secret == q.secret_bits[: q.secret_cursor]
+
+    def test_decode_coop_rejects_length_mismatch(self):
+        with pytest.raises(ValueError):
+            decode_coop([1, 3, 5], [0], 4, 16)
 
 
 class TestRates:

@@ -1,0 +1,58 @@
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pnc.info import joint_counts, mi_bits
+
+weights = st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=12)
+
+
+class TestJointCounts:
+    def test_counts_occurring_values_only(self):
+        table, a_values, b_values = joint_counts([10**12, -3, -3, 10**12], [7, 7, 0, 7])
+        assert a_values.tolist() == [-3, 10**12]
+        assert b_values.tolist() == [0, 7]
+        assert table.dtype == np.int64
+        assert table.tolist() == [[1, 1], [0, 2]]
+
+    @given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-(2**40), 2**40)), min_size=1))
+    def test_matches_pair_counter(self, pairs):
+        a, b = zip(*pairs)
+        table, a_values, b_values = joint_counts(a, b)
+        assert a_values.tolist() == sorted(set(a))
+        assert b_values.tolist() == sorted(set(b))
+        counts = Counter(pairs)
+        assert table.tolist() == [[counts[(u, v)] for v in b_values.tolist()] for u in a_values.tolist()]
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            joint_counts([1, 2, 3], [1, 2])
+
+
+class TestMiBits:
+    @given(weights, weights)
+    def test_product_table_is_exactly_zero(self, u, v):
+        assert mi_bits(np.outer(u, v)) == 0.0
+
+    def test_near_product_table_is_not_zero(self):
+        # one count off a product table: dependent, however slightly
+        assert mi_bits([[10**4, 10**4], [10**4, 10**4 + 1]]) > 0.0
+
+    def test_empty_table_is_zero(self):
+        assert mi_bits(np.zeros((2, 3), dtype=np.int64)) == 0.0
+
+    def test_copy_channel_is_one_bit(self):
+        assert mi_bits([[1, 0], [0, 1]]) == 1.0
+
+    def test_known_value(self):
+        # rows (2, 1), (1, 2): 1 - h(1/3) bits
+        h = -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3)
+        assert mi_bits([[2, 1], [1, 2]]) == pytest.approx(1 - h, rel=1e-15)
+
+    def test_overflow_guard(self):
+        with pytest.raises(OverflowError):
+            mi_bits([[2**31, 2**31]])
