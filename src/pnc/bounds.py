@@ -10,7 +10,7 @@ Three families of bounds for the noiseless two-user relay channel:
 * the per-user no-cooperation bounds obtained by averaging guaranteed
   entropy over each constellation.
 
-Mutual informations are evaluated by exact enumeration over integer
+Mutual informations are evaluated by :mod:`pnc.info` from integer
 counts, with logarithms applied only at the final step, so a true zero is
 distinguishable from rounding noise.
 """
@@ -18,12 +18,14 @@ distinguishable from rounding noise.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .constellation import SumProfile, _validate_orders, make_pam
+import numpy as np
+
+from .constellation import SumProfile, _is_pam_point, _validate_orders, make_pam
+from .info import _MAX_TOTAL, conditional_mi_bits, joint_counts, mi_bits
 
 __all__ = [
     "Side",
@@ -93,10 +95,10 @@ def guaranteed_entropy_pam(x: int, side: Side, M_A: int, M_B: int) -> float:
     """
     _validate_orders(M_A, M_B)
     if side == "alice":
-        if x not in make_pam(M_A):
+        if not _is_pam_point(x, M_A):
             raise ValueError(f"{x} is not in the {M_A}-PAM constellation")
         return math.log2((M_A + 1 - abs(x)) / 2)
-    if x not in make_pam(M_B):
+    if not _is_pam_point(x, M_B):
         raise ValueError(f"{x} is not in the {M_B}-PAM constellation")
     if abs(x) <= M_B - 2 * M_A + 1:
         return float(M_A.bit_length() - 1)
@@ -111,61 +113,26 @@ def ub_nocoop(M_A: int, M_B: int) -> tuple[float, float]:
     return r_a / M_A, r_b / M_B
 
 
-def _mi(joint: dict, margin_axes: tuple[int, int]) -> float:
-    """Mutual information in bits between two coordinates of a joint pmf.
-
-    `joint` maps outcome tuples to Fraction (or float) probabilities.
-    Marginals are accumulated exactly; the result is exactly 0.0 when
-    every cell factorizes exactly.
-    """
-    i, j = margin_axes
-    pa: dict = defaultdict(Fraction)
-    pb: dict = defaultdict(Fraction)
-    pab: dict = defaultdict(Fraction)
-    for outcome, p in joint.items():
-        if p == 0:
-            continue
-        pa[outcome[i]] += p
-        pb[outcome[j]] += p
-        pab[(outcome[i], outcome[j])] += p
-    if all(p == pa[a] * pb[b] for (a, b), p in pab.items()):
-        return 0.0
-    return sum(
-        float(p) * math.log2(float(p / (pa[a] * pb[b]))) for (a, b), p in pab.items()
-    )
-
-
-def _conditional_mi(joint: dict, x_axis: int, y_axis: int, cond_axis: int) -> float:
-    """I(X; Y | Z) for a joint pmf over outcome tuples."""
-    by_cond: dict = defaultdict(dict)
-    pz: dict = defaultdict(Fraction)
-    for outcome, p in joint.items():
-        if p == 0:
-            continue
-        z = outcome[cond_axis]
-        pz[z] += p
-        key = (outcome[x_axis], outcome[y_axis])
-        by_cond[z][key] = by_cond[z].get(key, Fraction(0)) + p
-    total = 0.0
-    for z, cells in by_cond.items():
-        norm = pz[z]
-        cond = {k: p / norm for k, p in cells.items()}
-        total += float(norm) * _mi(cond, (0, 1))
-    return total
-
-
 def csiszar_ub(joint: dict) -> float:
     """[I(Y_recv; X | X_other) - I(Y; X)]^+ from an exact finite joint pmf.
 
-    `joint` maps tuples (y, y_recv, x, x_other) to probabilities, ideally
-    Fractions.  The positive-part clamp is applied to the difference, never
-    per term.
+    `joint` maps tuples (y, y_recv, x, x_other) of integer keys to exact
+    rational probabilities (Fractions or ints) summing to exactly 1.  Each
+    outcome is repeated by its count over the common denominator, so memory
+    grows with that denominator, and :mod:`pnc.info` evaluates both terms
+    from those integer counts.  The positive-part clamp is applied to the
+    difference, never per term.
     """
-    total = sum(joint.values())
-    if not math.isclose(float(total), 1.0, abs_tol=1e-12):
-        raise ValueError("joint distribution must sum to 1")
-    keep = _conditional_mi(joint, x_axis=2, y_axis=1, cond_axis=3)
-    leak = _mi(joint, (0, 2))
+    probs = [Fraction(p) for p in joint.values()]
+    if sum(probs) != 1:
+        raise ValueError("joint distribution must sum to exactly 1")
+    denom = math.lcm(*(p.denominator for p in probs))
+    if denom > _MAX_TOTAL:
+        raise ValueError(f"common denominator {denom} exceeds the exact range {_MAX_TOTAL}")
+    counts = [p.numerator * (denom // p.denominator) for p in probs]
+    y, y_recv, x, x_other = np.repeat(np.asarray(list(joint)), counts, axis=0).T
+    keep = conditional_mi_bits(x, y_recv, x_other)
+    leak = mi_bits(joint_counts(y, x)[0])
     return max(keep - leak, 0.0)
 
 
@@ -173,22 +140,3 @@ def compute_bounds(M_A: int, M_B: int) -> SecrecyBounds:
     """All three bounds for one pair of PAM orders."""
     r_a, r_b = ub_nocoop(M_A, M_B)
     return SecrecyBounds(ub_shared=ub_pam(M_A, M_B), ub_alice_nocoop=r_a, ub_bob_nocoop=r_b)
-
-
-def aligned_pnc_joint(M_A: int, M_B: int, side: Side = "alice") -> dict:
-    """Exact joint pmf (Y, Y_recv, X, X_other) for the noiseless aligned sum.
-
-    The legitimate receiver observes the sum and knows its own symbol, so
-    Y_recv determines X given X_other; useful as a reference input for
-    :func:`csiszar_ub`.
-    """
-    a = make_pam(M_A)
-    b = make_pam(M_B)
-    p = Fraction(1, M_A * M_B)
-    joint: dict = {}
-    for xa in a.points:
-        for xb in b.points:
-            y = xa + xb
-            x, xo = (xa, xb) if side == "alice" else (xb, xa)
-            joint[(y, y, x, xo)] = p
-    return joint

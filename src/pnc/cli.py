@@ -150,12 +150,10 @@ def _cmd_mimo(args, out):
             f"no interference-free dimensions for (M, N) = ({args.m}, {args.n})"
         )
     method = {"zf": "zf", "opt": "optimized"}[args.method]
-    rows = []
-    for db in args.snr_db:
-        result = mimo_mod.ergodic_capacity_mc(
-            args.m, args.n, d, [10 ** (db / 10)], args.trials, args.seed, method
-        )
-        rows.append((db, result[0][1]))
+    result = mimo_mod.ergodic_capacity_mc(
+        args.m, args.n, d, [10 ** (db / 10) for db in args.snr_db], args.trials, args.seed, method
+    )
+    rows = [(db, mean) for db, (_, mean) in zip(args.snr_db, result)]
     _write_csv(rows, ("snr_db", "mean_capacity_bits"), args.csv, out)
 
 
@@ -182,12 +180,10 @@ def _figure_rows(figure: str, trials: int, seed: int):
         snr_db = [0.0, 5.0, 10.0, 15.0, 20.0]
         for m, n in ((2, 2), (3, 3), (3, 2), (4, 3)):
             for method in ("zf", "optimized"):
-                d = 2 * n - m
-                for db in snr_db:
-                    result = mimo_mod.ergodic_capacity_mc(
-                        m, n, d, [10 ** (db / 10)], trials, seed, method
-                    )
-                    rows.append((m, n, method, db, result[0][1]))
+                result = mimo_mod.ergodic_capacity_mc(
+                    m, n, 2 * n - m, [10 ** (db / 10) for db in snr_db], trials, seed, method
+                )
+                rows.extend((m, n, method, db, mean) for db, (_, mean) in zip(snr_db, result))
         return ("m", "n", "method", "snr_db", "mean_capacity_bits"), rows
     raise InfeasibleParameters(f"unknown figure {figure!r}")
 

@@ -10,7 +10,7 @@ inputs are integer-valued PAM alphabets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "PamConstellation",
@@ -37,7 +37,7 @@ class PamConstellation:
 
     def rank(self, x: int) -> int:
         """Index of point x in increasing order; raises if x is not a point."""
-        if x not in self.points:
+        if not _is_pam_point(x, self.order):
             raise ValueError(f"{x} is not a point of the {self.order}-PAM alphabet")
         return (x + self.order - 1) // 2
 
@@ -52,35 +52,20 @@ class PamConstellation:
         return 2 * int(bits, 2) - (self.order - 1)
 
     def __contains__(self, x) -> bool:
-        return x in self.points
+        return _is_pam_point(x, self.order)
 
 
 @dataclass(frozen=True)
 class FiniteAlphabet:
-    """A finite real alphabet with per-point probability masses.
-
-    Weights default to uniform; non-uniform weights are admitted so the
-    generic machinery can be probed, but all PAM-facing operations assume
-    uniform inputs.
-    """
+    """A finite real alphabet whose points are used with equal probability."""
 
     points: tuple[float, ...]
-    weights: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         if not self.points:
             raise ValueError("alphabet must be nonempty")
         if len(set(self.points)) != len(self.points):
             raise ValueError("alphabet points must be distinct")
-        if not self.weights:
-            n = len(self.points)
-            object.__setattr__(self, "weights", tuple(1.0 / n for _ in self.points))
-        if len(self.weights) != len(self.points):
-            raise ValueError("weights must match points in length")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
 
     @classmethod
     def from_pam(cls, pam: PamConstellation) -> "FiniteAlphabet":
@@ -103,6 +88,11 @@ class SumProfile:
 
     def support(self) -> list:
         return sorted(self.entries)
+
+
+def _is_pam_point(x, M: int) -> bool:
+    """Whether x is a point of the M-PAM alphabet {-(M-1), -(M-3), ..., M-1}."""
+    return abs(x) < M and (x + M - 1) % 2 == 0
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["joint_counts", "mi_bits"]
+__all__ = ["joint_counts", "mi_bits", "conditional_mi_bits"]
 
 # Largest grand total n for which n * n still fits in an int64.
 _MAX_TOTAL = math.isqrt(int(np.iinfo(np.int64).max))
@@ -56,3 +56,22 @@ def mi_bits(table) -> float:
     nz = t > 0
     c = t[nz]
     return float(np.sum(c / n * np.log2((c * n) / expected[nz])))
+
+
+def conditional_mi_bits(a_keys, b_keys, given) -> float:
+    """I(A; B | C) in bits from three aligned integer key arrays.
+
+    The mean of :func:`mi_bits` over the slices given == c, weighted by
+    slice size, so it is exactly 0.0 when every slice's table factorizes.
+    """
+    a_keys, b_keys, given = (np.asarray(k).ravel() for k in (a_keys, b_keys, given))
+    if not a_keys.shape == b_keys.shape == given.shape:
+        raise ValueError("key arrays differ in length")
+    if given.size == 0:
+        return 0.0
+    total = 0.0
+    for c in np.unique(given):
+        in_slice = given == c
+        table, _, _ = joint_counts(a_keys[in_slice], b_keys[in_slice])
+        total += int(table.sum()) * mi_bits(table)
+    return total / given.size

@@ -300,12 +300,11 @@ def ergodic_capacity_mc(
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         ha, hb = draw_channel_pair(M, N, rng)
+        pair = zf_precoders(PrecoderProblem(H_A=ha, H_B=hb))  # independent of the SNR
         for i, snr in enumerate(snr_list):
-            problem = PrecoderProblem(H_A=ha, H_B=hb, p_a=snr / 2, p_b=snr / 2, sigma_sq=1.0)
-            pair = zf_precoders(problem)
             if method == "optimized":
-                result = optimize_precoders(problem, pair, opts)
-                sums[i] += result.capacity
+                problem = PrecoderProblem(H_A=ha, H_B=hb, p_a=snr / 2, p_b=snr / 2, sigma_sq=1.0)
+                sums[i] += optimize_precoders(problem, pair, opts).capacity
             else:
                 sums[i] += capacity(ha, pair.g_a, snr)
     return [(snr, sums[i] / trials) for i, snr in enumerate(snr_list)]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import _validate_orders, make_pam
+from .info import mi_bits
 
 __all__ = ["SyncParams", "MisalignedChannel", "alpha_beta", "ub_with_sync", "sync_sweep"]
 
@@ -88,18 +89,11 @@ def _merge_ids(values: np.ndarray, tol: float) -> np.ndarray:
 def _mi_from_ids(ids: np.ndarray, side_idx: np.ndarray, n_side: int) -> float:
     """I(merged observation; side variable) from equiprobable outcome pairs."""
     n_y = int(ids.max()) + 1
-    joint = np.zeros((n_y, n_side))
-    np.add.at(joint, (ids, side_idx), 1.0)
-    pj = joint / joint.sum()
-    py = pj.sum(axis=1, keepdims=True)
-    px = pj.sum(axis=0, keepdims=True)
-    mask = pj > 0
-    return float(np.sum(pj[mask] * np.log2(pj[mask] / (py @ px)[mask])))
+    counts = np.bincount(ids * n_side + side_idx, minlength=n_y * n_side)
+    return mi_bits(counts.reshape(-1, n_side))
 
 
-def ub_with_sync(
-    M_A: int, M_B: int, p: SyncParams, merge_tol: float | None = None
-) -> float:
+def ub_with_sync(M_A: int, M_B: int, p: SyncParams) -> float:
     """Secrecy-rate upper bound under timing misalignment.
 
     Current and previous symbols of both users are i.i.d. uniform.  The
@@ -107,33 +101,25 @@ def ub_with_sync(
     observation and U = (1 - alpha) X_A + alpha X_A_prev is what remains
     once the legitimate receiver cancels its own (known) current and
     previous contributions.  At zero offset U = X_A and this collapses to
-    m_A - I(Y; X_A), the aligned bound.  Observations within `merge_tol`
-    of each other are treated as a single outcome (they are generally
-    irrational combinations).
+    m_A - I(Y; X_A), the aligned bound.  Observations within
+    1e-9 * (M_A + M_B) of each other are treated as a single outcome (they
+    are generally irrational combinations).
     """
     _validate_orders(M_A, M_B)
-    if merge_tol is None:
-        merge_tol = 1e-9 * (M_A + M_B)
-    if merge_tol < 0:
-        raise ValueError("merge_tol must be nonnegative")
+    tol = 1e-9 * (M_A + M_B)
     chan = _misaligned_channel(M_A, M_B, p)
     y = chan.observations
     # axis 0 of `observations` is the current x_A
     xa_idx = np.broadcast_to(np.arange(M_A)[:, None, None, None], y.shape).ravel()
-    i_ray = _mi_from_ids(_merge_ids(y.ravel(), merge_tol), xa_idx, M_A)
+    i_ray = _mi_from_ids(_merge_ids(y.ravel(), tol), xa_idx, M_A)
     a = np.asarray(make_pam(M_A).points, dtype=float)
     u = (1 - chan.alpha) * a[:, None] + chan.alpha * a[None, :]
     xa_u = np.broadcast_to(np.arange(M_A)[:, None], u.shape).ravel()
-    i_receiver = _mi_from_ids(_merge_ids(u.ravel(), merge_tol), xa_u, M_A)
+    i_receiver = _mi_from_ids(_merge_ids(u.ravel(), tol), xa_u, M_A)
     return max(i_receiver - i_ray, 0.0)
 
 
-def sync_sweep(
-    M_A: int,
-    M_B: int,
-    grid_step: float = 0.05,
-    merge_tol: float | None = None,
-) -> list[tuple[float, float, float]]:
+def sync_sweep(M_A: int, M_B: int, grid_step: float = 0.05) -> list[tuple[float, float, float]]:
     """Rows (delta_a, delta_b, ub) over the full [0, 1]^2 offset grid, T = 1."""
     if not 0 < grid_step <= 0.5:
         raise ValueError("grid_step must lie in (0, 0.5]")
@@ -143,6 +129,6 @@ def sync_sweep(
         for j in range(n):
             da = min(i * grid_step, 1.0)
             db = min(j * grid_step, 1.0)
-            ub = ub_with_sync(M_A, M_B, SyncParams(da, db), merge_tol)
+            ub = ub_with_sync(M_A, M_B, SyncParams(da, db))
             rows.append((da, db, ub))
     return rows

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from pnc.bounds import (
-    aligned_pnc_joint,
     compute_bounds,
     csiszar_ub,
     guaranteed_entropy,
@@ -14,6 +13,21 @@ from pnc.bounds import (
     ub_pam,
 )
 from pnc.constellation import FiniteAlphabet, make_pam, pam_sum_profile, sum_profile
+
+
+def aligned_pnc_joint(M_A, M_B):
+    """Exact joint pmf (Y, Y_recv, X_A, X_B) for the noiseless aligned sum.
+
+    The legitimate receiver observes the sum and knows its own symbol, so
+    Y_recv determines X_A given X_B.
+    """
+    p = Fraction(1, M_A * M_B)
+    return {
+        (xa + xb, xa + xb, xa, xb): p
+        for xa in make_pam(M_A).points
+        for xb in make_pam(M_B).points
+    }
+
 
 GRID = [
     (ma, mb)
@@ -133,3 +147,13 @@ class TestCsiszarBound:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             csiszar_ub({(0, 0, 0, 0): 0.5})
+
+    def test_rejects_inexact_sum(self):
+        # 0.1 + 0.9 is 1 + 2**-55 as exact binary fractions
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            csiszar_ub({(0, 0, 0, 0): 0.1, (1, 1, 1, 0): 0.9})
+
+    def test_rejects_denominator_beyond_exact_range(self):
+        # 0.6 + 0.4 is exactly 1, over the denominator 2**53
+        with pytest.raises(ValueError, match="denominator"):
+            csiszar_ub({(0, 0, 0, 0): 0.6, (1, 1, 1, 0): 0.4})

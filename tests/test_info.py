@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pnc.info import joint_counts, mi_bits
+from pnc.info import conditional_mi_bits, joint_counts, mi_bits
 
 weights = st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=12)
+# small enough to expand every count into that many key pairs
+small_weights = st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=6)
 
 
 class TestJointCounts:
@@ -56,3 +58,38 @@ class TestMiBits:
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             mi_bits([[2**31, 2**31]])
+
+
+def keys_of_table(table):
+    """Aligned (row, column) key arrays holding each cell's count of pairs."""
+    table = np.asarray(table)
+    rows, cols = np.indices(table.shape)
+    return np.repeat(rows.ravel(), table.ravel()), np.repeat(cols.ravel(), table.ravel())
+
+
+class TestConditionalMiBits:
+    @given(st.lists(st.tuples(small_weights, small_weights), min_size=1, max_size=5))
+    def test_product_slices_are_exactly_zero(self, slices):
+        a, b, c = [], [], []
+        for z, (u, v) in enumerate(slices):
+            a_z, b_z = keys_of_table(np.outer(u, v))
+            a.append(a_z)
+            b.append(b_z)
+            c.append(np.full(a_z.size, z))
+        assert conditional_mi_bits(np.concatenate(a), np.concatenate(b), np.concatenate(c)) == 0.0
+
+    def test_xor_is_one_bit_given_the_key(self):
+        x, z = (k.ravel() for k in np.indices((2, 2)))
+        y = x ^ z
+        assert mi_bits(joint_counts(x, y)[0]) == 0.0
+        assert conditional_mi_bits(x, y, z) == 1.0
+
+    def test_slices_weighted_by_size(self):
+        # a 1-bit copy channel on 2 of 8 outcomes, a constant on the other 6
+        a = [0, 1, 0, 0, 0, 0, 0, 0]
+        given = [0, 0, 1, 1, 1, 1, 1, 1]
+        assert conditional_mi_bits(a, a, given) == 0.25
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            conditional_mi_bits([1, 2], [1, 2], [0])

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnc.bounds import ub_pam
+from pnc.constellation import make_pam
 from pnc.sync import (
     SyncParams,
+    _merge_ids,
     _misaligned_channel,
     alpha_beta,
     sync_sweep,
@@ -13,6 +17,34 @@ from pnc.sync import (
 )
 
 ALIGNED_4_16 = 1.8360902344426084
+
+
+def float_mi_from_ids(ids, side_idx, n_side):
+    """Reference I(ids; side) from float probabilities, with no exact-zero test."""
+    joint = np.zeros((int(ids.max()) + 1, n_side))
+    np.add.at(joint, (ids, side_idx), 1.0)
+    pj = joint / joint.sum()
+    py = pj.sum(axis=1, keepdims=True)
+    px = pj.sum(axis=0, keepdims=True)
+    mask = pj > 0
+    return float(np.sum(pj[mask] * np.log2(pj[mask] / (py @ px)[mask])))
+
+
+def float_ub_with_sync(M_A, M_B, p):
+    """ub_with_sync evaluated with float_mi_from_ids."""
+    tol = 1e-9 * (M_A + M_B)
+    chan = _misaligned_channel(M_A, M_B, p)
+    y = chan.observations
+    xa_idx = np.broadcast_to(np.arange(M_A)[:, None, None, None], y.shape).ravel()
+    i_ray = float_mi_from_ids(_merge_ids(y.ravel(), tol), xa_idx, M_A)
+    a = np.asarray(make_pam(M_A).points, dtype=float)
+    u = (1 - chan.alpha) * a[:, None] + chan.alpha * a[None, :]
+    xa_u = np.broadcast_to(np.arange(M_A)[:, None], u.shape).ravel()
+    i_receiver = float_mi_from_ids(_merge_ids(u.ravel(), tol), xa_u, M_A)
+    return max(i_receiver - i_ray, 0.0)
+
+
+SMALL_ORDERS = [(ma, mb) for ma in (2, 4, 8) for mb in (2 * ma, 4 * ma, 8 * ma) if mb <= 32]
 
 
 class TestAlphaBeta:
@@ -105,9 +137,15 @@ class TestUbWithSync:
     def test_nonnegative(self):
         assert ub_with_sync(4, 16, SyncParams(1.0, 1.0)) >= 0.0
 
-    def test_merge_tol_validation(self):
-        with pytest.raises(ValueError):
-            ub_with_sync(4, 16, SyncParams(0.1, 0.1), merge_tol=-1.0)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(SMALL_ORDERS),
+        st.floats(0.0, 1.0, allow_nan=False),
+        st.floats(0.0, 1.0, allow_nan=False),
+    )
+    def test_matches_float_formula(self, orders, da, db):
+        p = SyncParams(da, db)
+        assert ub_with_sync(*orders, p) == pytest.approx(float_ub_with_sync(*orders, p), abs=1e-12)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -129,6 +167,12 @@ class TestSyncSweep:
         assert len(rows) == 25
         for da, db, ub in rows[::6]:
             assert ub == pytest.approx(ub_with_sync(4, 16, SyncParams(da, db)), abs=0)
+
+    def test_full_offset_at_alice_is_exactly_zero(self):
+        # at delta_a = 1 both U and Y carry only the previous symbol of Alice
+        rows = [r for r in sync_sweep(4, 16, grid_step=0.05) if r[0] == 1.0]
+        assert len(rows) == 21
+        assert all(ub == 0.0 for _, _, ub in rows)
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
