@@ -88,29 +88,20 @@ def _cmd_bounds(args, out):
     out.write(json.dumps(report, indent=2) + "\n")
 
 
-def _encode_all(queues, encode_one):
-    """Encode symbols until both queues are exhausted."""
-    symbols = []
-    while not queues.exhausted:
-        symbols.extend(encode_one(queues, len(symbols)))
-    return symbols
-
-
 def _cmd_encode(args, out):
     _check_orders(args.ma, args.mb)
     queues = enc_mod.BitQueues(public_bits=args.public, secret_bits=args.secret)
     if args.scheme == "nocoop":
         partition = enc_mod.build_partition(args.ma, args.mb, args.side)
-        symbols = _encode_all(
-            queues, lambda q, i: enc_mod.encode_stream(q, partition, count=1)
+        # every symbol takes exactly m bits, so this stops where the queues run dry
+        count = math.ceil(
+            (len(args.public) + len(args.secret)) / partition.constellation.bits_per_symbol
         )
+        symbols = enc_mod.encode_stream(queues, partition, count=count)
     else:
         if not args.levels:
             raise InfeasibleParameters("--levels is required for the coop scheme")
-        labeling = enc_mod.make_pam(args.ma)
-        symbols = []
-        for k in args.levels:
-            symbols.extend(enc_mod.encode_coop(queues, [k], labeling))
+        symbols = enc_mod.encode_coop(queues, args.levels, enc_mod.make_pam(args.ma))
         if not queues.exhausted:
             raise InfeasibleParameters("bits left over after the supplied levels")
     out.write(",".join(str(s) for s in symbols) + "\n")
@@ -193,18 +184,32 @@ def _cmd_figure(args, out):
     _write_csv(rows, header, args.csv, out)
 
 
-def _list_of(kind):
-    """Argparse type for a comma-separated list of `kind` values."""
+def _checked(convert, what, ok=lambda value: True):
+    """Argparse type: convert(text), a usage error if that fails or `ok` rejects it."""
 
-    def parse(text: str) -> list:
+    def parse(text: str):
         try:
-            return [kind(v) for v in text.split(",")]
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated {kind.__name__} values, got {text!r}"
-            ) from None
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
 
     return parse
+
+
+def _list_of(kind):
+    """Argparse type for a comma-separated list of `kind` values."""
+    return _checked(
+        lambda text: [kind(v) for v in text.split(",")], f"comma-separated {kind.__name__} values"
+    )
+
+
+_POSITIVE_INT = _checked(int, "an int > 0", lambda v: v > 0)
+_POSITIVE_FLOAT = _checked(float, "a float > 0", lambda v: v > 0)  # nan is not
+_BITS = _checked(str, "a 0/1 string", lambda text: not text.strip("01"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_orders(p)
     p.add_argument("--scheme", choices=("nocoop", "coop"), required=True)
     p.add_argument("--side", choices=("alice", "bob"), default="bob")
-    p.add_argument("--public", default="", help="public bit string")
-    p.add_argument("--secret", default="", help="secret bit string")
+    p.add_argument("--public", type=_BITS, default="", help="public bit string")
+    p.add_argument("--secret", type=_BITS, default="", help="secret bit string")
     p.add_argument(
         "--levels", type=_list_of(int), help="comma-separated secret-bit counts (coop)"
     )
@@ -243,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sync-sweep", help="upper bound over the timing-offset grid")
     add_orders(p)
-    p.add_argument("--step", type=float, default=0.05)
+    p.add_argument("--step", type=_POSITIVE_FLOAT, default=0.05, help="grid step in (0, 0.5]")
     p.add_argument("--csv", help="write to this path instead of stdout")
     p.set_defaults(func=_cmd_sync_sweep)
 
@@ -252,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="user antennas N")
     p.add_argument("--dim", action="store_true", help="print dof and manifold dimension")
     p.add_argument("--snr-db", type=_list_of(float), default="0,5,10,15,20")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_POSITIVE_INT, default=1000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--method", choices=("zf", "opt"), default="zf")
     p.add_argument("--csv", help="write to this path instead of stdout")
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="emit the data series behind a figure")
     p.add_argument("name", choices=FIGURES)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_POSITIVE_INT, default=1000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--csv", help="write to this path instead of stdout")
     p.set_defaults(func=_cmd_figure)

@@ -94,61 +94,46 @@ class BitQueues:
 class SecrecyPartition:
     """Per-symbol secret-bit level for one user's constellation.
 
-    level[x] = k means the trailing k bits of x's label are secret.
+    levels[r] = k means the trailing k bits of the label of the point of
+    rank r are secret.
     """
 
     side: Side
     m_a: int
     constellation: PamConstellation
-    level: dict = field(default_factory=dict)
+    levels: tuple[int, ...]
 
     def level_of(self, x: int) -> int:
-        return self.level.get(x, 0)
+        """Level of point x; raises ValueError if x is not a point."""
+        return self.levels[self.constellation.rank(x)]
 
     def subset(self, k: int) -> tuple[int, ...]:
         """The points carrying exactly k secret bits, in increasing order."""
-        return tuple(x for x in self.constellation.points if self.level_of(x) == k)
+        return tuple(x for x, lv in zip(self.constellation.points, self.levels) if lv == k)
 
     def rate(self) -> float:
         """Average secret bits per symbol under a uniform symbol draw."""
-        M = self.constellation.order
-        return sum(self.level_of(x) for x in self.constellation.points) / M
+        return sum(self.levels) / self.constellation.order
 
 
 def build_partition(M_A: int, M_B: int, side: Side) -> SecrecyPartition:
     """Assign secrecy levels by the guaranteed-entropy interval structure.
 
-    Alice's subsets run k = 1..m_A-2 plus a level-0 rim; Bob's run
-    k = 1..m_A-1 plus the inner plateau at level m_A and a level-0 rim.
-    Points falling in no interval keep level 0.
+    The point of rank r, d = min(r, M-1-r) steps from the nearer rim, gets
+    level min(max(d.bit_length() - 1, 0), m_A): a level-0 rim, level k for
+    2^k <= d < 2^(k+1), and Bob's inner plateau (d >= M_A) at level m_A.
+    Levels therefore rise from each rim toward the middle and never dip.
     """
     _validate_orders(M_A, M_B)
     m_a = M_A.bit_length() - 1
     M = M_A if side == "alice" else M_B
-    pam = make_pam(M)
-    level: dict = {}
-    if side == "alice":
-        for k in range(1, m_a - 1):
-            lo, hi = M - 1 - 2 ** (k + 2), M - 1 - 2 ** (k + 1)
-            for x in pam.points:
-                if lo < abs(x) <= hi:
-                    level[x] = k
-    else:
-        for k in range(1, m_a):
-            lo, hi = M - 1 - 2 ** (k + 2), M - 1 - 2 ** (k + 1)
-            for x in pam.points:
-                if lo < abs(x) <= hi:
-                    level[x] = k
-        for x in pam.points:
-            if abs(x) <= M - 2 * M_A - 1:
-                level[x] = m_a
-    return SecrecyPartition(side=side, m_a=m_a, constellation=pam, level=level)
+    levels = tuple(min(max(min(r, M - 1 - r).bit_length() - 1, 0), m_a) for r in range(M))
+    return SecrecyPartition(side=side, m_a=m_a, constellation=make_pam(M), levels=levels)
 
 
 def encode_stream(
     queues: BitQueues,
     partition: SecrecyPartition,
-    labeling: PamConstellation | None = None,
     count: int = 1,
 ) -> list[int]:
     """Emit `count` symbols by walking the label tree root to leaf.
@@ -158,18 +143,14 @@ def encode_stream(
     a leaf of level k iff k >= m - d), in which case a secret bit is
     consumed instead.
     """
-    pam = labeling if labeling is not None else partition.constellation
-    if pam.order != partition.constellation.order:
-        raise ValueError("labeling order does not match the partition's constellation")
+    pam, levels = partition.constellation, partition.levels
     m = pam.bits_per_symbol
     symbols = []
     for i in range(count):
         lo, hi = 0, pam.order
         for depth in range(m):
-            need = m - depth
-            all_secret = all(
-                partition.level_of(pam.points[r]) >= need for r in range(lo, hi)
-            )
+            # levels never dip between the rims: a subtree's lowest sits at an end leaf
+            all_secret = min(levels[lo], levels[hi - 1]) >= m - depth
             bit = queues.next_secret(i) if all_secret else queues.next_public(i)
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if bit == "0" else (mid, hi)
@@ -354,8 +335,7 @@ def audit_leakage(scheme: str, M_A: int, M_B: int) -> LeakageReport:
         level = np.array([coop_level(x, M_A, M_B) for x in b.points])
     else:
         side = scheme.removeprefix("nocoop_")
-        part = build_partition(M_A, M_B, side)
-        level = np.array([part.level_of(x) for x in part.constellation.points])
+        level = np.array(build_partition(M_A, M_B, side).levels)
         rank = np.arange(level.size)
         if side == "alice":  # Alice's symbols run down the rows
             rank, level = rank[:, None], level[:, None]

@@ -33,6 +33,11 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+# relative tolerance below which a channel counts as rank deficient
+# (singular value over the largest) or, for square channels, singular
+# (the inverse of the Frobenius condition number)
+_RANK_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PrecoderProblem:
@@ -123,11 +128,11 @@ def precoder_space_dim(M: int, N: int) -> int:
     return 2 * (d * d - 1)
 
 
-def nullspace_basis(H_A: np.ndarray, H_B: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def nullspace_basis(H_A: np.ndarray, H_B: np.ndarray) -> np.ndarray:
     """Orthonormal basis (2N x d) of the right nullspace of [H_A  -H_B].
 
     Computed from the singular value decomposition; raises if the stacked
-    channel is rank-deficient relative to `rank_tol` times the largest
+    channel is rank-deficient relative to `_RANK_TOL` times the largest
     singular value (generic full-rank channels are assumed).
     """
     H_A = np.atleast_2d(np.asarray(H_A, dtype=complex))
@@ -135,7 +140,7 @@ def nullspace_basis(H_A: np.ndarray, H_B: np.ndarray, rank_tol: float = 1e-10) -
     m, n = H_A.shape
     block = np.hstack([H_A, -H_B])
     _, s, vh = np.linalg.svd(block)
-    rank = int(np.sum(s > rank_tol * s[0]))
+    rank = int(np.sum(s > _RANK_TOL * s[0]))
     if rank < m:
         raise ValueError(f"stacked channel is rank deficient (rank {rank} < {m})")
     basis = vh[rank:].conj().T
@@ -144,19 +149,31 @@ def nullspace_basis(H_A: np.ndarray, H_B: np.ndarray, rank_tol: float = 1e-10) -
     return basis
 
 
+def _inverse(h: np.ndarray) -> np.ndarray:
+    """Inverse of a square channel; raises ValueError if it is (near) singular."""
+    try:
+        inv = np.linalg.inv(h)
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is None or not np.linalg.norm(h) * np.linalg.norm(inv) <= 1 / _RANK_TOL:
+        raise ValueError("square channel is singular to working precision")
+    return inv
+
+
 def zf_precoders(problem: PrecoderProblem) -> PrecoderPair:
     """Zero-forcing precoders: nullspace split, rescaled to the power cap.
 
-    For square invertible channels (N = M = d) the channel inverses are
-    used directly; otherwise the top and bottom N-row blocks of the
-    nullspace basis become G_A and G_B.
+    For square channels (N = M = d) the channel inverses are used
+    directly, and a Frobenius condition number above 1/`_RANK_TOL` raises;
+    otherwise the top and bottom N-row blocks of the nullspace basis
+    become G_A and G_B.
     """
     n = problem.N
     if problem.d < 1:
         raise ValueError("no interference-free dimensions: d = 2N - M < 1")
     if problem.M == problem.N:
-        inv_a = np.linalg.inv(problem.H_A)
-        inv_b = np.linalg.inv(problem.H_B)
+        inv_a = _inverse(problem.H_A)
+        inv_b = _inverse(problem.H_B)
         gamma = max(np.linalg.norm(inv_a), np.linalg.norm(inv_b))
         return PrecoderPair(
             g_a=math.sqrt(n) * inv_a / gamma, g_b=math.sqrt(n) * inv_b / gamma
@@ -262,6 +279,11 @@ def optimize_precoders(
     )
 
 
+# looser than OptimizeOptions() for throughput over many trials;
+# per-instance studies call optimize_precoders with the tighter defaults
+_MC_OPTIONS = OptimizeOptions(max_iters=100, grad_tol=1e-6)
+
+
 def draw_channel_pair(M: int, N: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Channel pair with i.i.d. circularly symmetric entries of variance 1/M."""
     scale = math.sqrt(1.0 / (2 * M))
@@ -278,13 +300,13 @@ def ergodic_capacity_mc(
     trials: int,
     seed: int,
     method: str = "zf",
-    opts: OptimizeOptions | None = None,
 ) -> list[tuple[float, float]]:
     """Monte Carlo mean capacity over random channel pairs, per SNR.
 
     Each trial derives its own random stream from (seed, trial index), so
     results are deterministic for a fixed seed regardless of scheduling.
-    Returns rows (snr, mean capacity in bits).
+    Returns rows (snr, mean capacity in bits).  The optimized method runs
+    :func:`optimize_precoders` with `_MC_OPTIONS`.
     """
     if method not in ("zf", "optimized"):
         raise ValueError("method must be 'zf' or 'optimized'")
@@ -292,10 +314,6 @@ def ergodic_capacity_mc(
         raise ValueError("trials must be >= 1")
     if d != 2 * N - M or d < 1:
         raise ValueError("require d = 2N - M >= 1")
-    if opts is None:
-        # throughput default for large sweeps; per-instance studies can
-        # pass the tighter OptimizeOptions() explicitly
-        opts = OptimizeOptions(max_iters=100, grad_tol=1e-6)
     sums = [0.0 for _ in snr_list]
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
@@ -304,7 +322,7 @@ def ergodic_capacity_mc(
         for i, snr in enumerate(snr_list):
             if method == "optimized":
                 problem = PrecoderProblem(H_A=ha, H_B=hb, p_a=snr / 2, p_b=snr / 2, sigma_sq=1.0)
-                sums[i] += optimize_precoders(problem, pair, opts).capacity
+                sums[i] += optimize_precoders(problem, pair, _MC_OPTIONS).capacity
             else:
                 sums[i] += capacity(ha, pair.g_a, snr)
     return [(snr, sums[i] / trials) for i, snr in enumerate(snr_list)]

@@ -65,6 +65,38 @@ class TestEncode:
         assert code == EXIT_INFEASIBLE
         assert "exhausted" in err
 
+    def test_underflow_names_symbol_index(self):
+        code, out, err = invoke(
+            [
+                "encode", "--ma", "4", "--mb", "16", "--scheme", "nocoop",
+                "--public", "00110110", "--secret", "1",
+            ]
+        )
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "symbol 1" in err
+
+    def test_coop_underflow_names_symbol_index(self):
+        code, out, err = invoke(
+            [
+                "encode", "--ma", "8", "--mb", "32", "--scheme", "coop",
+                "--levels", "3,2,2", "--public", "01", "--secret", "11110",
+            ]
+        )
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "symbol 2" in err
+
+    @pytest.mark.parametrize("flag", ["--public", "--secret"])
+    @pytest.mark.parametrize("bits", ["0012", "1x", " 01"])
+    def test_non_binary_bits_exit_2(self, flag, bits, capsys):
+        code, out, _ = invoke(
+            ["encode", "--ma", "4", "--mb", "16", "--scheme", "nocoop", flag, bits]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in capsys.readouterr().err
+
     def test_coop_requires_levels(self):
         code, _, err = invoke(
             ["encode", "--ma", "4", "--mb", "16", "--scheme", "coop", "--public", "01"]
@@ -136,6 +168,13 @@ class TestSyncSweep:
         )
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "x"])
+    def test_non_positive_step_exit_2(self, step, capsys):
+        code, out, _ = invoke(["sync-sweep", "--ma", "4", "--mb", "16", "--step", step])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--step" in capsys.readouterr().err
+
 
 class TestMimo:
     def test_dim_report(self):
@@ -164,6 +203,13 @@ class TestMimo:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--snr-db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3", "1.5"])
+    def test_non_positive_trials_exit_2(self, trials, capsys):
+        code, out, _ = invoke(["mimo", "--m", "3", "--n", "2", "--trials", trials])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--trials" in capsys.readouterr().err
 
     def test_infeasible_geometry_exit_3(self):
         code, _, _ = invoke(["mimo", "--m", "5", "--n", "2", "--trials", "2"])
@@ -204,6 +250,12 @@ class TestFigure:
         lines = out.strip().splitlines()
         # 4 geometries x 2 methods x 5 SNR points
         assert len(lines) == 41
+
+    def test_cap_approx_zero_trials_exit_2(self, capsys):
+        code, out, _ = invoke(["figure", "cap_approx", "--trials", "0"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--trials" in capsys.readouterr().err
 
     def test_unknown_figure_exit_2(self):
         code, _, _ = invoke(["figure", "nonexistent"])

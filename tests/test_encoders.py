@@ -64,6 +64,54 @@ class TestPartition:
                 assert part.level_of(x) <= guaranteed_entropy_pam(x, side, M_A, M_B) + 1e-12
 
 
+def _interval_levels(M_A, M_B, side):
+    """Levels by the guaranteed-entropy interval loops, keyed by point (oracle)."""
+    m_a = M_A.bit_length() - 1
+    M = M_A if side == "alice" else M_B
+    points = make_pam(M).points
+    level = {}
+    for k in range(1, m_a - 1 if side == "alice" else m_a):
+        lo, hi = M - 1 - 2 ** (k + 2), M - 1 - 2 ** (k + 1)
+        for x in points:
+            if lo < abs(x) <= hi:
+                level[x] = k
+    if side == "bob":
+        for x in points:
+            if abs(x) <= M - 2 * M_A - 1:
+                level[x] = m_a
+    return tuple(level.get(x, 0) for x in points)
+
+
+def _full_grid(M_A):
+    """(M_B, side) for every M_B from 2*M_A to 4096 and both sides."""
+    return [(1 << j, side) for j in range(M_A.bit_length(), 13) for side in ("alice", "bob")]
+
+
+class TestRankRule:
+    @pytest.mark.parametrize("M_A", [1 << i for i in range(1, 11)])
+    def test_levels_equal_interval_oracle(self, M_A):
+        for M_B, side in _full_grid(M_A):
+            assert build_partition(M_A, M_B, side).levels == _interval_levels(
+                M_A, M_B, side
+            ), (M_A, M_B, side)
+
+    @pytest.mark.parametrize("M_A", [1 << i for i in range(1, 11)])
+    def test_dyadic_block_minimum_at_an_end_leaf(self, M_A):
+        for M_B, side in _full_grid(M_A):
+            levels = build_partition(M_A, M_B, side).levels
+            size = len(levels)
+            while size >= 1:
+                for lo in range(0, len(levels), size):
+                    block = levels[lo : lo + size]
+                    assert min(block) == min(block[0], block[-1]), (M_A, M_B, side, lo, size)
+                size //= 2
+
+    @pytest.mark.parametrize("x", [0, 2, -16, 17, 1.5])
+    def test_level_of_rejects_non_points(self, x):
+        with pytest.raises(ValueError):
+            build_partition(4, 16, "bob").level_of(x)
+
+
 class TestTreeEncoder:
     def test_worked_example_4_16(self):
         part = build_partition(4, 16, "bob")

@@ -104,6 +104,18 @@ class TestZfPrecoders:
         with pytest.raises(ValueError):
             zf_precoders(prob)
 
+    def test_near_singular_square_channel_raises(self):
+        # condition number 1e13: inverting it would leave user A nearly no power
+        prob = PrecoderProblem(H_A=np.eye(2), H_B=np.diag([1.0, 1e-13]))
+        with pytest.raises(ValueError, match="singular"):
+            zf_precoders(prob)
+
+    @pytest.mark.parametrize("h", [np.ones((2, 2)), np.zeros((3, 3))])
+    def test_singular_square_channel_raises_value_error(self, h):
+        prob = PrecoderProblem(H_A=h, H_B=np.eye(len(h)))
+        with pytest.raises(ValueError, match="singular"):
+            zf_precoders(prob)
+
 
 class TestCapacity:
     def test_zero_precoder(self):
