@@ -39,7 +39,7 @@ class PamConstellation:
         """Index of point x in increasing order; raises if x is not a point."""
         if not _is_pam_point(x, self.order):
             raise ValueError(f"{x} is not a point of the {self.order}-PAM alphabet")
-        return (x + self.order - 1) // 2
+        return int((x + self.order - 1) // 2)
 
     def label(self, x: int) -> str:
         """Bit label of point x as a string of length bits_per_symbol."""

@@ -198,6 +198,13 @@ class TestMimo:
         assert lines[0] == "snr_db,mean_capacity_bits"
         assert len(lines) == 3
 
+    def test_opt_equals_zf_when_d_is_1(self):
+        # (3, 2) leaves one dimension: the feasible set is the ZF ray
+        argv = ["mimo", "--m", "3", "--n", "2", "--snr-db", "0,10,20", "--trials", "20"]
+        _, zf, _ = invoke(argv + ["--method", "zf"])
+        _, opt, _ = invoke(argv + ["--method", "opt"])
+        assert opt == zf
+
     def test_malformed_snr_exit_2(self, capsys):
         code, out, _ = invoke(["mimo", "--m", "3", "--n", "2", "--snr-db", "x"])
         assert code == EXIT_USAGE

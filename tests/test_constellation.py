@@ -40,6 +40,11 @@ class TestMakePam:
         assert pam.rank(1) == 4
         assert pam.label(1) == "100"
 
+    def test_integral_float_point_has_int_rank(self):
+        pam = make_pam(4)
+        assert type(pam.rank(1.0)) is int and pam.rank(1.0) == 2
+        assert pam.label(1.0) == "10"
+
     @pytest.mark.parametrize("bad", [0, 1, 3, 6, 12, -4])
     def test_rejects_non_power_of_two(self, bad):
         with pytest.raises(ValueError):

@@ -143,6 +143,11 @@ class TestTreeEncoder:
         public, _ = decode_stream([-16], [-15], part)
         assert make_pam(4).unlabel(public) == -1
 
+    def test_decode_float_sums(self):
+        # -8.0 - (-9) = 1.0 is the 4-PAM point 1, so it decodes like the int sum
+        part = build_partition(4, 16, "alice")
+        assert decode_stream([-8.0], [-9], part) == decode_stream([-8], [-9], part)
+
     def test_example_1_round_trip(self):
         bob_part = build_partition(4, 16, "bob")
         q = BitQueues("00110110", "1001")

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnc.mimo import (
     OptimizeOptions,
@@ -21,6 +25,77 @@ def seeded_problem(M, N, seed, snr=10.0):
     rng = np.random.default_rng(seed)
     ha, hb = draw_channel_pair(M, N, rng)
     return PrecoderProblem(H_A=ha, H_B=hb, p_a=snr / 2, p_b=snr / 2, sigma_sq=1.0)
+
+
+def armijo_ascent(problem, init, max_iters=500, grad_tol=1e-8, initial_step=1.0, armijo=1e-4):
+    """Capacity reached by the projected gradient ascent the solver replaced.
+
+    Steps along the nullspace-projected gradient, rescales each trial
+    point to the power cap and accepts it under an Armijo rule.
+    """
+    n, snr = problem.N, problem.snr
+    basis = nullspace_basis(problem.H_A, problem.H_B)
+
+    def project(g):
+        g = basis @ (basis.conj().T @ g)
+        return g * (math.sqrt(n) / max(np.linalg.norm(g[:n]), np.linalg.norm(g[n:])))
+
+    def inner(a, b):
+        return float(np.real(np.vdot(a, b)))
+
+    g = project(init.stacked())
+    best = capacity(problem.H_A, g[:n], snr)
+    for _ in range(max_iters):
+        grad = np.vstack([capacity_gradient(problem.H_A, g[:n], snr), np.zeros((n, g.shape[1]))])
+        pg = basis @ (basis.conj().T @ grad)
+        tangent = pg - (inner(g, pg) / inner(g, g)) * g
+        if np.linalg.norm(tangent) < grad_tol:
+            break
+        step, norm_sq = initial_step, inner(tangent, tangent)
+        while step > 1e-14:
+            cand = project(g + step * tangent)
+            cand_cap = capacity(problem.H_A, cand[:n], snr)
+            if cand_cap >= best + armijo * step * norm_sq:
+                g, best = cand, cand_cap
+                break
+            step *= 0.5
+        else:
+            break
+    return best
+
+
+def kkt_violations(problem, pair):
+    """Relative KKT violations of a pair for the problem in Q = C·C^H.
+
+    The problem maximises ln det(I + snr·F·Q·F^H), F = H_A·E_A, subject to
+    tr(P_A·Q) <= N and tr(P_B·Q) <= N.  Its gradient is
+    Γ = snr·F^H·(I + snr·F·Q·F^H)^-1·F, and at the optimum
+    Λ = λ_A·P_A + λ_B·P_B with λ >= 0 satisfies Λ·Q = Γ·Q (every mode with
+    power sits at one water level) and Λ - Γ ⪰ 0 (dry modes lie below it),
+    where a slack power constraint has λ = 0.  The multipliers of the tight
+    constraints are fitted by least squares, the slack ones are held at 0.
+    Returns (stationarity, dry modes, negative multiplier), each relative
+    to ‖Γ‖.
+    """
+    n, snr = problem.N, problem.snr
+    basis = nullspace_basis(problem.H_A, problem.H_B)
+    e_a, e_b = basis[:n], basis[n:]
+    c = basis.conj().T @ pair.stacked()
+    q = c @ c.conj().T
+    f = problem.H_A @ e_a
+    gamma = snr * f.conj().T @ np.linalg.solve(np.eye(len(f)) + snr * f @ q @ f.conj().T, f)
+    p_a, p_b = e_a.conj().T @ e_a, e_b.conj().T @ e_b
+    cols = [(p_a @ q).ravel(), (p_b @ q).ravel()]
+    lhs = np.stack([np.concatenate([x.real, x.imag]) for x in cols], axis=1)
+    rhs = np.concatenate([(gamma @ q).ravel().real, (gamma @ q).ravel().imag])
+    tight = np.array([np.trace(p_a @ q).real, np.trace(p_b @ q).real]) >= n - 1e-6
+    lam = np.zeros(2)
+    lam[tight] = np.linalg.lstsq(lhs[:, tight], rhs, rcond=None)[0]
+    scale = np.linalg.norm(gamma)
+    stationarity = np.linalg.norm(lhs @ lam - rhs) / (scale * np.linalg.norm(q))
+    dry = max(-np.linalg.eigvalsh(lam[0] * p_a + lam[1] * p_b - gamma).min(), 0.0) / scale
+    negative = max(-lam.min(), 0.0) / scale
+    return stationarity, dry, negative
 
 
 class TestDimensions:
@@ -196,6 +271,52 @@ class TestOptimize:
         res = optimize_precoders(prob, opts=OptimizeOptions(max_iters=1))
         assert res.iterations == 1
         assert not res.converged
+        assert res.stop_reason == "max_iters" and res.dual_gap > 1e-10
+
+    def test_d_1_is_zf_without_steps(self):
+        prob = seeded_problem(3, 2, 64)
+        res = optimize_precoders(prob)
+        zf = zf_precoders(prob)
+        assert res.iterations == 0 and res.dual_gap == 0.0 and res.stop_reason == "gap_tol"
+        np.testing.assert_array_equal(res.pair.g_a, zf.g_a)
+        assert res.capacity == capacity(prob.H_A, zf.g_a, prob.snr)
+
+    def test_never_below_init(self):
+        # a max_iters=1 solve falls short of ZF here, so the ZF init is kept
+        prob = seeded_problem(2, 2, 69)
+        zf = zf_precoders(prob)
+        res = optimize_precoders(prob, zf, OptimizeOptions(max_iters=1))
+        assert res.pair is zf and res.capacity == capacity(prob.H_A, zf.g_a, prob.snr)
+        assert res.trace == [res.capacity, res.capacity]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 2), (3, 3), (4, 3), (5, 4), (3, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+        snr=st.floats(0.1, 1000.0),
+    )
+    def test_optimal_certified_and_feasible(self, shape, seed, snr):
+        M, N = shape
+        prob = seeded_problem(M, N, seed, snr=snr)
+        zf = zf_precoders(prob)
+        res = optimize_precoders(prob, zf)
+        assert res.dual_gap <= 1e-10 and res.converged and res.stop_reason == "gap_tol"
+        # the ascent's value is feasible, so it lies at most dual_gap above ours
+        assert res.capacity >= armijo_ascent(prob, zf) - max(res.dual_gap, 1e-12)
+        assert res.pair.alignment_residual(prob.H_A, prob.H_B) <= 1e-10
+        pa, pb = res.pair.powers()
+        assert pa <= N + 1e-9 and pb <= N + 1e-9
+        assert max(pa, pb) == pytest.approx(N, abs=1e-9)
+        stationarity, dry, negative = kkt_violations(prob, res.pair)
+        assert stationarity <= 1e-6 and dry <= 1e-6 and negative <= 1e-6
+
+    def test_beats_the_ascent_at_20_db(self):
+        gains = []
+        for seed in range(10):
+            prob = seeded_problem(3, 3, 80 + seed, snr=100.0)
+            zf = zf_precoders(prob)
+            gains.append(optimize_precoders(prob, zf).capacity - armijo_ascent(prob, zf))
+        assert min(gains) >= -1e-12 and max(gains) > 0.01
 
 
 class TestProperties:
@@ -223,6 +344,28 @@ class TestErgodicMc:
     def test_determinism(self):
         kwargs = dict(M=3, N=2, d=1, snr_list=[1.0, 10.0], trials=5, seed=9)
         assert ergodic_capacity_mc(**kwargs) == ergodic_capacity_mc(**kwargs)
+
+    def test_batch_of_one_equals_optimize_precoders(self):
+        snr = 10.0
+        ha, hb = draw_channel_pair(4, 3, np.random.default_rng([5, 0]))
+        prob = PrecoderProblem(H_A=ha, H_B=hb, p_a=snr / 2, p_b=snr / 2, sigma_sq=1.0)
+        res = optimize_precoders(prob, zf_precoders(prob))
+        assert ergodic_capacity_mc(4, 3, 2, [snr], trials=1, seed=5, method="optimized") == [
+            (snr, res.capacity)
+        ]
+
+    @pytest.mark.parametrize("M,N", [(2, 2), (3, 3), (4, 3)])
+    def test_batch_equals_per_instance_solves(self, M, N):
+        snrs, trials = [1.0, 10.0, 100.0], 4
+        rows = ergodic_capacity_mc(M, N, 2 * N - M, snrs, trials, seed=6, method="optimized")
+        for (snr, mean), expected in zip(rows, snrs):
+            caps = []
+            for t in range(trials):
+                ha, hb = draw_channel_pair(M, N, np.random.default_rng([6, t]))
+                prob = PrecoderProblem(H_A=ha, H_B=hb, p_a=snr / 2, p_b=snr / 2)
+                caps.append(optimize_precoders(prob, zf_precoders(prob)).capacity)
+            assert snr == expected
+            assert mean == pytest.approx(sum(caps) / trials, rel=1e-12)
 
     def test_optimized_at_least_zf(self):
         zf = ergodic_capacity_mc(4, 3, 2, [10.0], trials=10, seed=5, method="zf")
