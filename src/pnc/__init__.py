@@ -50,6 +50,6 @@ from .mimo import (
     precoder_space_dim,
     zf_precoders,
 )
-from .sync import MisalignedChannel, SyncParams, alpha_beta, sync_sweep, ub_with_sync
+from .sync import SyncParams, alpha_beta, sync_sweep, ub_with_sync
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 __all__ = [
     "PamConstellation",
@@ -81,6 +82,11 @@ class SumProfile:
     orders: tuple[int, int] | None = None
 
     def count(self, y) -> int:
+        """Preimage count of y; a non-integer profile is keyed by Fraction.
+
+        Query such a profile with Fraction keys, e.g. Fraction(str(0.3)):
+        Fraction(3, 10) != 0.3, so a float finds no entry and counts 0.
+        """
         return self.entries.get(y, 0)
 
     def pmf(self, y) -> float:
@@ -107,33 +113,22 @@ def make_pam(M: int) -> PamConstellation:
     return PamConstellation(order=M, points=points, bits_per_symbol=M.bit_length() - 1)
 
 
-def sum_profile(a: FiniteAlphabet, b: FiniteAlphabet, tol: float = 0.0) -> SumProfile:
+def sum_profile(a: FiniteAlphabet, b: FiniteAlphabet) -> SumProfile:
     """Exhaustive enumeration of all |a|*|b| pairwise sums.
 
-    Integer-valued alphabets are summed exactly; otherwise sums within
-    `tol` of each other are merged into a single entry keyed by the first
-    representative encountered in sorted order.
+    Integer-valued alphabets are summed as ints.  Otherwise each point x is
+    read as the rational Fraction(str(x)), a float standing for its shortest
+    decimal, and the sums are kept exact, keyed by Fraction (see
+    SumProfile.count).
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     exact = all(float(p).is_integer() for p in a.points) and all(
         float(p).is_integer() for p in b.points
     )
-    if exact:
-        entries: dict = {}
-        for xa, xb in itertools.product(a.points, b.points):
-            y = int(xa) + int(xb)
-            entries[y] = entries.get(y, 0) + 1
-    else:
-        sums = sorted(xa + xb for xa, xb in itertools.product(a.points, b.points))
-        entries = {}
-        rep = None
-        for s in sums:
-            if rep is None or s - rep > tol:
-                rep = s
-                entries[rep] = 1
-            else:
-                entries[rep] += 1
+    read = int if exact else lambda x: Fraction(str(x))
+    entries: dict = {}
+    for xa, xb in itertools.product(a.points, b.points):
+        y = read(xa) + read(xb)
+        entries[y] = entries.get(y, 0) + 1
     total = len(a.points) * len(b.points)
     orders = None
     if exact:

@@ -5,30 +5,53 @@ offset of delta*T at a user smears its contribution across the current and
 previous symbol: the relay sees
 
     y = (1 - alpha) x_A + (1 - beta) x_B + alpha x_A_prev + beta x_B_prev
+      = s + alpha d_a + beta d_b
 
-with alpha, beta in [0, 1] determined by the offsets.  The upper bound is
-re-evaluated as [I(U; X_A) - I(Y; X_A)]^+ by exact enumeration of this
-finite distribution, where U is what the legitimate receiver is left with
-after cancelling its own known contributions.  At zero offset this
-collapses to the aligned bound m_A - I(Y; X_A).
+with s = x_A + x_B, d = previous minus current symbol, and alpha, beta in
+[0, 1] determined by the offsets.  The upper bound is re-evaluated as
+[I(U; X_A) - I(Y; X_A)]^+ by exact enumeration of this finite
+distribution, where U = x_A + alpha d_a is what the legitimate receiver is
+left with after cancelling its own known contributions.  At zero offset
+this collapses to the aligned bound m_A - I(Y; X_A).
+
+Which observations coincide is decided exactly, with no float tolerance.
+An offset is a rational r = delta/T and alpha = r + sin(4 pi r)/(4 pi).
+The sine of a rational multiple of pi is algebraic and pi is
+transcendental (Lindemann 1882), so an integer relation
+a + b alpha + c beta = 0 holds iff a + b r_a + c r_b = 0 and
+b sin(4 pi r_a) + c sin(4 pi r_b) = 0.  Two nonzero sines of rational
+multiples of pi have a rational ratio only when their absolute values are
+equal or both lie in {1/2, 1}, because no minimal vanishing sum of four
+roots of unity exists (Conway & Jones 1976, "Trigonometric diophantine
+equations").  A few Fraction tests therefore give every observation an
+exact integer key.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .constellation import _validate_orders, make_pam
-from .info import mi_bits
+from .constellation import _validate_orders
+from .info import joint_counts, mi_bits
 
-__all__ = ["SyncParams", "MisalignedChannel", "alpha_beta", "ub_with_sync", "sync_sweep"]
+__all__ = ["SyncParams", "alpha_beta", "ub_with_sync", "sync_sweep"]
+
+# sin(pi w) at the only w in [0, 1/2] where it is rational (Niven's theorem)
+_RATIONAL_SINES = {Fraction(0): 0, Fraction(1, 6): Fraction(1, 2), Fraction(1, 2): 1}
 
 
 @dataclass(frozen=True)
 class SyncParams:
-    """Timing offsets of the two users, each in [0, period]."""
+    """Timing offsets of the two users, each in [0, period].
+
+    The bound reads each field x as the rational Fraction(str(x)): a float
+    stands for its shortest decimal (0.1 is 1/10) and a Fraction for
+    itself, so pass Fraction(1, 3) for a third of the period.
+    """
 
     delta_a: float
     delta_b: float
@@ -42,15 +65,6 @@ class SyncParams:
                 raise ValueError(f"{name} must lie in [0, period]")
 
 
-@dataclass(frozen=True)
-class MisalignedChannel:
-    """Observation table over all (x_A_prev, x_A, x_B_prev, x_B) 4-tuples."""
-
-    alpha: float
-    beta: float
-    observations: np.ndarray  # shape (M_A, M_A, M_B, M_B), axes (xa, xa_prev, xb, xb_prev)
-
-
 def alpha_beta(p: SyncParams) -> tuple[float, float]:
     """Fraction of each user's energy leaking from the previous symbol."""
 
@@ -61,36 +75,86 @@ def alpha_beta(p: SyncParams) -> tuple[float, float]:
     return coeff(p.delta_a), coeff(p.delta_b)
 
 
-def _misaligned_channel(M_A: int, M_B: int, p: SyncParams) -> MisalignedChannel:
-    a = np.asarray(make_pam(M_A).points, dtype=float)
-    b = np.asarray(make_pam(M_B).points, dtype=float)
-    alpha, beta = alpha_beta(p)
-    y = (
-        (1 - alpha) * a[:, None, None, None]
-        + alpha * a[None, :, None, None]
-        + (1 - beta) * b[None, None, :, None]
-        + beta * b[None, None, None, :]
-    )
-    return MisalignedChannel(alpha=alpha, beta=beta, observations=y)
+def _sine(r: Fraction) -> tuple[Fraction, Fraction]:
+    """(label, c) with sin(4 pi r) = c sin(pi label), or = c when label is 0.
+
+    A nonzero label is the w in (0, 1/2) with sin(4 pi r) = c sin(pi w)
+    when that sine is irrational; sines with different nonzero labels have
+    an irrational ratio.
+    """
+    t = 4 * r % 2
+    c = 1 if t < 1 else -1
+    w = min(t % 1, 1 - t % 1)
+    if w in _RATIONAL_SINES:
+        return Fraction(0), Fraction(c * _RATIONAL_SINES[w])
+    return w, Fraction(c)
 
 
-def _merge_ids(values: np.ndarray, tol: float) -> np.ndarray:
-    """Cluster ids of a flat value array, grouping gaps <= tol in sorted order."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    new_cluster = np.empty(values.size, dtype=bool)
-    new_cluster[0] = True
-    np.greater(np.diff(sorted_vals), tol, out=new_cluster[1:])
-    ids = np.empty(values.size, dtype=np.int64)
-    ids[order] = np.cumsum(new_cluster) - 1
-    return ids
+def _forms(offsets: list[Fraction]) -> tuple[tuple[int, ...], ...]:
+    """Integer forms in (s, d_1, ...) that agree exactly where s + sum(alpha_i d_i) does.
+
+    The relations are the row (1, r_1, ...) and one row per nonzero-sine
+    label, holding the c of each offset with that label; the forms are
+    their reduced row echelon form, each row scaled to coprime integers.
+    """
+    sines = [_sine(r) for r in offsets]
+    forms = [[Fraction(1), *offsets]]
+    for label in dict.fromkeys(lab for lab, c in sines if c):
+        row = [Fraction(0)] + [c if lab == label else Fraction(0) for lab, c in sines]
+        pivot = next(j for j, v in enumerate(row) if v)
+        row = [v / row[pivot] for v in row]
+        # label rows have disjoint supports: only the first row needs reducing
+        forms[0] = [a - forms[0][pivot] * b for a, b in zip(forms[0], row)]
+        forms.append(row)
+    scales = [math.lcm(*(v.denominator for v in form)) for form in forms]
+    return tuple(tuple(int(v * m) for v in form) for form, m in zip(forms, scales))
 
 
-def _mi_from_ids(ids: np.ndarray, side_idx: np.ndarray, n_side: int) -> float:
-    """I(merged observation; side variable) from equiprobable outcome pairs."""
-    n_y = int(ids.max()) + 1
-    counts = np.bincount(ids * n_side + side_idx, minlength=n_y * n_side)
-    return mi_bits(counts.reshape(-1, n_side))
+def _classes(M_A: int, M_B: int, p: SyncParams):
+    """Forms keying Y over (s, d_a, d_b) and U over (x_A, d_a) at offsets p."""
+    r_a, r_b = (Fraction(str(d)) / Fraction(str(p.period)) for d in (p.delta_a, p.delta_b))
+    y_forms = _forms([r_a, r_b])
+    if len(y_forms) == 2:
+        # Observations then coincide along one integer direction v of
+        # (s, d_a, d_b).  When no multiple of v fits between two reachable
+        # triples, every observation is its own class, and the identity
+        # forms say so without the large coefficients of an exotic offset.
+        (a, b, c), (d, e, f) = y_forms
+        v = (b * f - c * e, c * d - a * f, a * e - b * d)
+        g = math.gcd(*v)
+        if any(abs(x) > g * n for x, n in zip(v, (M_A + M_B - 2, 2 * M_A - 2, 2 * M_B - 2))):
+            y_forms = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return y_forms, _forms([r_a])
+
+
+def _key(forms, coords) -> np.ndarray:
+    """One int64 key over broadcast integer coordinates, equal exactly where every form is."""
+    key, radix = 0, 1
+    for form in forms:
+        key = key + radix * sum(c * x for c, x in zip(form, coords))
+        radix *= 1 + sum(abs(c) * int(np.ptp(x)) for c, x in zip(form, coords))
+    return key
+
+
+def _relay_counts(M_A: int, M_B: int, forms) -> np.ndarray:
+    """Joint counts of (X_A, Y class) over all four-tuples of ranks.
+
+    The ranks (i, i', j, j') of (x_A, x_A_prev, x_B, x_B_prev) land in the
+    cell (i + j, i' - i, i + j') of one box, whose coordinates fix s, d_a
+    and d_b.  Each x_A reaches one rectangular slice of the box; the
+    classes of the reached cells are sorted once, and each x_A reads its
+    counts off its slice.
+    """
+    n = M_A + M_B - 1
+    sig, e_a, tau = np.arange(n)[:, None, None], np.arange(1 - M_A, M_A)[:, None], np.arange(n)
+    key = _key(forms, (sig, e_a, tau - sig))
+    slices = [np.s_[i : i + M_B, M_A - 1 - i : 2 * M_A - 1 - i, i : i + M_B] for i in range(M_A)]
+    reached = np.zeros(key.shape, dtype=bool)
+    for cells in slices:
+        reached[cells] = True
+    values, cls = np.unique(key[reached], return_inverse=True)
+    key[reached] = cls  # unreached cells keep their keys; no slice reads them
+    return np.stack([np.bincount(key[cells].ravel(), minlength=values.size) for cells in slices])
 
 
 def ub_with_sync(M_A: int, M_B: int, p: SyncParams) -> float:
@@ -101,34 +165,29 @@ def ub_with_sync(M_A: int, M_B: int, p: SyncParams) -> float:
     observation and U = (1 - alpha) X_A + alpha X_A_prev is what remains
     once the legitimate receiver cancels its own (known) current and
     previous contributions.  At zero offset U = X_A and this collapses to
-    m_A - I(Y; X_A), the aligned bound.  Observations within
-    1e-9 * (M_A + M_B) of each other are treated as a single outcome (they
-    are generally irrational combinations).
+    m_A - I(Y; X_A), the aligned bound.  Offsets are exact rationals (see
+    SyncParams), and two observations are one outcome only when equal.
     """
     _validate_orders(M_A, M_B)
-    tol = 1e-9 * (M_A + M_B)
-    chan = _misaligned_channel(M_A, M_B, p)
-    y = chan.observations
-    # axis 0 of `observations` is the current x_A
-    xa_idx = np.broadcast_to(np.arange(M_A)[:, None, None, None], y.shape).ravel()
-    i_ray = _mi_from_ids(_merge_ids(y.ravel(), tol), xa_idx, M_A)
-    a = np.asarray(make_pam(M_A).points, dtype=float)
-    u = (1 - chan.alpha) * a[:, None] + chan.alpha * a[None, :]
-    xa_u = np.broadcast_to(np.arange(M_A)[:, None], u.shape).ravel()
-    i_receiver = _mi_from_ids(_merge_ids(u.ravel(), tol), xa_u, M_A)
+    y_forms, u_forms = _classes(M_A, M_B, p)
+    i_ray = mi_bits(_relay_counts(M_A, M_B, y_forms))
+    i = np.arange(M_A)[:, None]
+    u = _key(u_forms, (i, i.T - i))
+    i_receiver = mi_bits(joint_counts(u, np.broadcast_to(i, u.shape))[0])
     return max(i_receiver - i_ray, 0.0)
 
 
 def sync_sweep(M_A: int, M_B: int, grid_step: float = 0.05) -> list[tuple[float, float, float]]:
-    """Rows (delta_a, delta_b, ub) over the full [0, 1]^2 offset grid, T = 1."""
+    """Rows (delta_a, delta_b, ub) over the full [0, 1]^2 offset grid, T = 1.
+
+    Offsets are i * Fraction(str(grid_step)), capped at 1; the bound is
+    evaluated once per exact observation class.
+    """
     if not 0 < grid_step <= 0.5:
         raise ValueError("grid_step must lie in (0, 0.5]")
-    n = math.floor(1 / grid_step) + 1
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            da = min(i * grid_step, 1.0)
-            db = min(j * grid_step, 1.0)
-            ub = ub_with_sync(M_A, M_B, SyncParams(da, db))
-            rows.append((da, db, ub))
-    return rows
+    grid = [min(i * Fraction(str(grid_step)), 1) for i in range(math.floor(1 / grid_step) + 1)]
+    points = [(da, db) for da in grid for db in grid]
+    classes = [_classes(M_A, M_B, SyncParams(*pt)) for pt in points]
+    reps = dict(zip(classes, points))  # one offset pair per class
+    bounds = {cls: ub_with_sync(M_A, M_B, SyncParams(*pt)) for cls, pt in reps.items()}
+    return [(float(da), float(db), bounds[cls]) for (da, db), cls in zip(points, classes)]

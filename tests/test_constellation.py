@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -96,12 +97,15 @@ class TestSumProfile:
         for y in p.support():
             assert p.count(y) == p.count(-y)
 
-    def test_real_alphabet_merging(self):
-        a = FiniteAlphabet(points=(0.0, 1.0))
-        b = FiniteAlphabet(points=(0.0, 1.0 + 5e-10))
-        p = sum_profile(a, b, tol=1e-9)
-        assert len(p.entries) == 3
+    def test_real_alphabet_sums_exactly(self):
+        # as floats, 0.1 + 0.2 != 0.0 + 0.3; as shortest decimals they agree
+        a = FiniteAlphabet(points=(0.1, 0.0))
+        b = FiniteAlphabet(points=(0.2, 0.3))
+        p = sum_profile(a, b)
+        assert p.entries == {Fraction(1, 5): 1, Fraction(3, 10): 2, Fraction(2, 5): 1}
         assert sorted(p.entries.values()) == [1, 1, 2]
+        # the profile is keyed by Fraction, so it is queried by Fraction
+        assert p.count(Fraction(str(0.3))) == 2
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):

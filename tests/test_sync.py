@@ -1,22 +1,29 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pnc.sync
 from pnc.bounds import ub_pam
 from pnc.constellation import make_pam
-from pnc.sync import (
-    SyncParams,
-    _merge_ids,
-    _misaligned_channel,
-    alpha_beta,
-    sync_sweep,
-    ub_with_sync,
-)
+from pnc.sync import SyncParams, _classes, _sine, alpha_beta, sync_sweep, ub_with_sync
 
 ALIGNED_4_16 = 1.8360902344426084
+GENERIC_4_16 = 1.1534862856359638
+
+
+def merge_ids(values, tol):
+    """Cluster ids of a flat value array, grouping gaps <= tol in sorted order."""
+    order = np.argsort(values, kind="stable")
+    new_cluster = np.empty(values.size, dtype=bool)
+    new_cluster[0] = True
+    np.greater(np.diff(values[order]), tol, out=new_cluster[1:])
+    ids = np.empty(values.size, dtype=np.int64)
+    ids[order] = np.cumsum(new_cluster) - 1
+    return ids
 
 
 def float_mi_from_ids(ids, side_idx, n_side):
@@ -31,17 +38,44 @@ def float_mi_from_ids(ids, side_idx, n_side):
 
 
 def float_ub_with_sync(M_A, M_B, p):
-    """ub_with_sync evaluated with float_mi_from_ids."""
+    """The bound from float observations, merging those within 1e-9 * (M_A + M_B)."""
     tol = 1e-9 * (M_A + M_B)
-    chan = _misaligned_channel(M_A, M_B, p)
-    y = chan.observations
-    xa_idx = np.broadcast_to(np.arange(M_A)[:, None, None, None], y.shape).ravel()
-    i_ray = float_mi_from_ids(_merge_ids(y.ravel(), tol), xa_idx, M_A)
+    alpha, beta = alpha_beta(p)
     a = np.asarray(make_pam(M_A).points, dtype=float)
-    u = (1 - chan.alpha) * a[:, None] + chan.alpha * a[None, :]
+    b = np.asarray(make_pam(M_B).points, dtype=float)
+    # axes (x_A, x_A_prev, x_B, x_B_prev)
+    y = (
+        (1 - alpha) * a[:, None, None, None]
+        + alpha * a[None, :, None, None]
+        + (1 - beta) * b[None, None, :, None]
+        + beta * b[None, None, None, :]
+    )
+    xa_idx = np.broadcast_to(np.arange(M_A)[:, None, None, None], y.shape).ravel()
+    i_ray = float_mi_from_ids(merge_ids(y.ravel(), tol), xa_idx, M_A)
+    u = (1 - alpha) * a[:, None] + alpha * a[None, :]
     xa_u = np.broadcast_to(np.arange(M_A)[:, None], u.shape).ravel()
-    i_receiver = float_mi_from_ids(_merge_ids(u.ravel(), tol), xa_u, M_A)
+    i_receiver = float_mi_from_ids(merge_ids(u.ravel(), tol), xa_u, M_A)
     return max(i_receiver - i_ray, 0.0)
+
+
+def rationals(max_den):
+    """Every distinct k/q in [0, 1] with q <= max_den."""
+    return sorted({Fraction(k, q) for q in range(1, max_den + 1) for k in range(q + 1)})
+
+
+def check_sine_classes(sin_pi, close):
+    """_sine against sin_pi(r) = sin(pi r) at every offset k/q with q <= 24."""
+    offsets = rationals(24)
+    sines = [sin_pi(4 * r) for r in offsets]
+    classes = [_sine(r) for r in offsets]
+    for s, (label, c) in zip(sines, classes):
+        assert close(s, c * (sin_pi(label) if label else 1))
+        # nonzero labels carry exactly the irrational sines
+        assert bool(label) == (not any(close(abs(s), v) for v in (0, 0.5, 1)))
+    for s, (label, _) in zip(sines, classes):
+        for t, (other, _) in zip(sines, classes):
+            if label and other:
+                assert (label == other) == close(abs(s), abs(t))
 
 
 SMALL_ORDERS = [(ma, mb) for ma in (2, 4, 8) for mb in (2 * ma, 4 * ma, 8 * ma) if mb <= 32]
@@ -79,22 +113,6 @@ class TestAlphaBeta:
             SyncParams(0.1, 0.1, period=0.0)
 
 
-class TestMisalignedChannel:
-    def test_table_shape(self):
-        chan = _misaligned_channel(4, 16, SyncParams(0.3, 0.7))
-        assert chan.observations.shape == (4, 4, 16, 16)
-
-    def test_collapses_when_aligned(self):
-        chan = _misaligned_channel(4, 16, SyncParams(0, 0))
-        a = np.array([-3, -1, 1, 3], dtype=float)
-        b = np.arange(-15, 16, 2, dtype=float)
-        expected = a[:, None] + b[None, :]
-        got = chan.observations[:, 0, :, 0]
-        np.testing.assert_allclose(got, expected)
-        # previous symbols are irrelevant at zero offset
-        assert np.ptp(chan.observations, axis=(1, 3)).max() == 0.0
-
-
 class TestUbWithSync:
     def test_aligned_limit(self):
         assert ub_with_sync(4, 16, SyncParams(0, 0)) == pytest.approx(
@@ -105,8 +123,8 @@ class TestUbWithSync:
         )
 
     def test_generic_small_offset_keeps_aligned_value(self):
-        # at irrational coupling coefficients no observations coincide, so the
-        # bound sits on the aligned plateau
+        # alpha == beta at equal offsets, so y = s + alpha (d_a + d_b): this is
+        # the equal-sine class, which sits on the aligned plateau
         assert ub_with_sync(4, 16, SyncParams(0.1, 0.1)) == pytest.approx(
             ALIGNED_4_16, abs=1e-12
         )
@@ -137,15 +155,54 @@ class TestUbWithSync:
     def test_nonnegative(self):
         assert ub_with_sync(4, 16, SyncParams(1.0, 1.0)) >= 0.0
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from(SMALL_ORDERS),
-        st.floats(0.0, 1.0, allow_nan=False),
-        st.floats(0.0, 1.0, allow_nan=False),
+        st.sampled_from(rationals(24)),
+        st.sampled_from(rationals(24)),
     )
     def test_matches_float_formula(self, orders, da, db):
-        p = SyncParams(da, db)
-        assert ub_with_sync(*orders, p) == pytest.approx(float_ub_with_sync(*orders, p), abs=1e-12)
+        # floats merge observations within a tolerance; at rational offsets of
+        # small denominator that tolerance resolves exactly the true classes
+        oracle = float_ub_with_sync(*orders, SyncParams(float(da), float(db)))
+        assert ub_with_sync(*orders, SyncParams(da, db)) == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "orders,da,db,expected",
+        [
+            # the float tolerance merged these into degenerate classes
+            ((2, 4), 0, 1e-300, 0.5625),
+            ((4, 16), 1 / 3, 2 / 3, GENERIC_4_16),
+            ((4, 16), 0.25, 0.25000000000000006, 1.3897292176190894),
+            # alpha + beta == 1 exactly at a third
+            ((4, 16), Fraction(1, 3), Fraction(2, 3), ALIGNED_4_16),
+        ],
+    )
+    def test_offsets_are_exact_rationals(self, orders, da, db, expected):
+        assert ub_with_sync(*orders, SyncParams(da, db)) == pytest.approx(expected, abs=1e-12)
+
+    def test_large_denominators_stay_exact(self):
+        # sin(4 pi r_b) == -sin(4 pi r_a) leaves alpha + beta = 1/4 + 2e-30, too
+        # fine to tie any two observations: the generic bound, with no overflow
+        eps = Fraction(1, 10**30)
+        generic = ub_with_sync(4, 16, SyncParams(0.1, 0.3))
+        assert generic == pytest.approx(GENERIC_4_16, abs=1e-12)
+        assert ub_with_sync(4, 16, SyncParams(eps, Fraction(1, 4) + eps)) == generic
+
+    def test_sine_classes_match_float_sines(self):
+        # distinct |sin(4 pi k/q)| with q <= 24 lie far more than 1e-9 apart
+        check_sine_classes(
+            lambda r: math.sin(math.pi * r.numerator / r.denominator),
+            lambda x, y: abs(x - y) < 1e-9,
+        )
+
+    def test_sine_classes_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            check_sine_classes(
+                lambda r: mpmath.sin(mpmath.pi * mpmath.mpf(r.numerator) / r.denominator),
+                lambda x, y: abs(x - y) < mpmath.mpf(10) ** -50,
+            )
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -165,8 +222,26 @@ class TestSyncSweep:
     def test_rows_match_pointwise_evaluation(self):
         rows = sync_sweep(4, 16, grid_step=0.25)
         assert len(rows) == 25
-        for da, db, ub in rows[::6]:
+        for da, db, ub in rows:
             assert ub == pytest.approx(ub_with_sync(4, 16, SyncParams(da, db)), abs=0)
+
+    def test_offsets_are_exact_multiples_of_the_step(self):
+        offsets = [db for _, db, _ in sync_sweep(8, 32, grid_step=0.15)[:7]]
+        assert offsets == [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
+
+    def test_each_class_is_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counted(M_A, M_B, p):
+            calls.append(p)
+            return ub_with_sync(M_A, M_B, p)
+
+        monkeypatch.setattr(pnc.sync, "ub_with_sync", counted)
+        rows = sync_sweep(4, 16, grid_step=0.05)
+        grid = [Fraction(i, 20) for i in range(21)]
+        classes = {_classes(4, 16, SyncParams(da, db)) for da in grid for db in grid}
+        assert len(rows) == 441
+        assert len(calls) == len(classes) < 100
 
     def test_full_offset_at_alice_is_exactly_zero(self):
         # at delta_a = 1 both U and Y carry only the previous symbol of Alice
