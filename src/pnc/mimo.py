@@ -6,9 +6,14 @@ confines the stacked precoder G = [G_A; G_B] to the right nullspace of
 [H_A  -H_B].  Zero-forcing picks an orthonormal basis B of that nullspace
 and rescales to the transmit power cap.  The optimum of the log-det
 capacity over the same set is convex in Q = C·C^H (G = B·C) under the two
-per-user power constraints; it is found by dual water-filling, a bisection
-on the weight of the two constraints (Telatar 1999; Yu & Lan 2007), and
+per-user power constraints; it is found by dual water-filling (Telatar
+1999; Yu & Lan 2007), whose root-finding steps search the weight of the two
+constraints by safeguarded false position (Anderson & Björck 1973), and
 every result carries its duality gap as a certificate of optimality.
+
+`nullspace_basis`, `capacity` and zero-forcing accept a leading stack axis,
+so Monte Carlo evaluates all trials of a request in one pass through the
+same code that serves a single instance.
 """
 
 from __future__ import annotations
@@ -101,7 +106,7 @@ class PrecoderPair:
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Bisection budget and duality-gap tolerance (bits) of the dual solver."""
+    """Budget of root-finding steps and duality-gap tolerance (bits) of the dual solver."""
 
     max_iters: int = 500
     grad_tol: float = 1e-10
@@ -109,6 +114,12 @@ class OptimizeOptions:
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """Precoders found by :func:`optimize_precoders` and their certificate.
+
+    `iterations` counts the dual solver's root-finding steps, and
+    `dual_gap` bounds how far `capacity` lies below the optimum.
+    """
+
     pair: PrecoderPair
     capacity: float
     iterations: int
@@ -138,36 +149,69 @@ def nullspace_basis(H_A: np.ndarray, H_B: np.ndarray) -> np.ndarray:
 
     Computed from the singular value decomposition; raises if the stacked
     channel is rank-deficient relative to `_RANK_TOL` times the largest
-    singular value (generic full-rank channels are assumed).
+    singular value (generic full-rank channels are assumed).  Channels
+    with a leading stack axis (T, M, N) give one basis per pair (T, 2N, d).
     """
     H_A = np.atleast_2d(np.asarray(H_A, dtype=complex))
     H_B = np.atleast_2d(np.asarray(H_B, dtype=complex))
-    m, n = H_A.shape
-    block = np.hstack([H_A, -H_B])
+    m, n = H_A.shape[-2:]
+    block = np.concatenate([H_A, -H_B], axis=-1)
     _, s, vh = np.linalg.svd(block)
-    rank = int(np.sum(s > _RANK_TOL * s[0]))
-    if rank < m:
-        raise ValueError(f"stacked channel is rank deficient (rank {rank} < {m})")
-    basis = vh[rank:].conj().T
-    if basis.shape[1] != 2 * n - m:
+    rank = np.sum(s > _RANK_TOL * s[..., :1], axis=-1)
+    if np.any(rank < m):
+        raise ValueError(f"stacked channel is rank deficient (rank {rank.min()} < {m})")
+    basis = np.swapaxes(vh[..., m:, :].conj(), -1, -2)
+    if basis.shape[-1] != 2 * n - m:
         raise ValueError("unexpected nullspace dimension")
     return basis
 
 
 def _herm(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
-    return x.conj().transpose(0, 2, 1)
+    return np.swapaxes(x.conj(), -1, -2)
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack, bit for bit `np.linalg.norm`.
+
+    Like `np.linalg.norm`, this takes the real and the imaginary parts of
+    each matrix in memory order and reduces each by one (strided) dot
+    product; a row-by-column matmul is that dot product.  Other reductions
+    sum in another order and can move the last bit.
+    """
+    flat = np.swapaxes(x, -1, -2) if x.strides[-2] < x.strides[-1] else x
+    flat = flat.reshape(*x.shape[:-2], 1, -1)
+    sq = [part @ np.swapaxes(part, -1, -2) for part in (flat.real, flat.imag)]
+    return np.sqrt(sq[0] + sq[1])[..., 0, 0]
 
 
 def _inverse(h: np.ndarray) -> np.ndarray:
-    """Inverse of a square channel; raises ValueError if it is (near) singular."""
+    """Inverse of each square channel; raises ValueError if any is (near) singular."""
     try:
         inv = np.linalg.inv(h)
     except np.linalg.LinAlgError:
         inv = None
-    if inv is None or not np.linalg.norm(h) * np.linalg.norm(inv) <= 1 / _RANK_TOL:
+    if inv is None or not np.all(_frobenius(h) * _frobenius(inv) <= 1 / _RANK_TOL):
         raise ValueError("square channel is singular to working precision")
     return inv
+
+
+def _zf(
+    h_a: np.ndarray, h_b: np.ndarray, basis: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing precoders (G_A, G_B) of each channel pair of a stack.
+
+    Square channels use their inverses; otherwise `basis` (from
+    :func:`nullspace_basis`) is split into its two N-row blocks.  Either
+    pair is rescaled so that the larger of the two powers is N.
+    """
+    n = h_a.shape[-1]
+    if h_a.shape[-2] == n:
+        e_a, e_b = _inverse(h_a), _inverse(h_b)
+    else:
+        e_a, e_b = basis[..., :n, :], basis[..., n:, :]
+    gamma = np.maximum(_frobenius(e_a), _frobenius(e_b))[..., None, None]
+    return math.sqrt(n) * e_a / gamma, math.sqrt(n) * e_b / gamma
 
 
 def zf_precoders(problem: PrecoderProblem) -> PrecoderPair:
@@ -178,35 +222,33 @@ def zf_precoders(problem: PrecoderProblem) -> PrecoderPair:
     otherwise the top and bottom N-row blocks of the nullspace basis
     become G_A and G_B.
     """
-    n = problem.N
     if problem.d < 1:
         raise ValueError("no interference-free dimensions: d = 2N - M < 1")
-    if problem.M == problem.N:
-        inv_a = _inverse(problem.H_A)
-        inv_b = _inverse(problem.H_B)
-        gamma = max(np.linalg.norm(inv_a), np.linalg.norm(inv_b))
-        return PrecoderPair(
-            g_a=math.sqrt(n) * inv_a / gamma, g_b=math.sqrt(n) * inv_b / gamma
-        )
-    basis = nullspace_basis(problem.H_A, problem.H_B)
-    e_a, e_b = basis[:n], basis[n:]
-    gamma = max(np.linalg.norm(e_a), np.linalg.norm(e_b))
-    return PrecoderPair(g_a=math.sqrt(n) * e_a / gamma, g_b=math.sqrt(n) * e_b / gamma)
+    basis = None if problem.M == problem.N else nullspace_basis(problem.H_A, problem.H_B)
+    g_a, g_b = _zf(problem.H_A, problem.H_B, basis)
+    return PrecoderPair(g_a=g_a, g_b=g_b)
 
 
-def capacity(H_A: np.ndarray, G_A: np.ndarray, snr: float) -> float:
-    """log2 det(I + snr * (H_A G_A)(H_A G_A)^dagger) in bits."""
-    if snr <= 0:
+def capacity(H_A: np.ndarray, G_A: np.ndarray, snr: float | np.ndarray) -> float | np.ndarray:
+    """log2 det(I + snr * (H_A G_A)(H_A G_A)^dagger) in bits.
+
+    A float for one channel and precoder; with leading stack axes the
+    matrices and `snr` broadcast as numpy does (`snr` against the stack
+    shape of H_A G_A), giving one capacity per instance.
+    """
+    snr = np.asarray(snr, dtype=float)
+    if np.any(snr <= 0):
         raise ValueError("snr must be positive")
     hg = np.asarray(H_A, dtype=complex) @ np.asarray(G_A, dtype=complex)
     if not np.all(np.isfinite(hg)):
         raise ValueError("non-finite entries in effective channel")
-    m = hg.shape[0]
-    x = np.eye(m) + snr * (hg @ hg.conj().T)
+    m = hg.shape[-2]
+    x = np.eye(m) + snr[..., None, None] * (hg @ _herm(hg))
     sign, logdet = np.linalg.slogdet(x)
-    if sign.real <= 0:
+    if np.any(sign.real <= 0):
         raise ValueError("capacity argument is not positive definite")
-    return float(logdet / _LN2)
+    caps = logdet / _LN2
+    return float(caps) if caps.ndim == 0 else caps
 
 
 def capacity_gradient(H_A: np.ndarray, G_A: np.ndarray, snr: float) -> np.ndarray:
@@ -250,15 +292,27 @@ def _solve_dual(
     solved by water-filling the eigenmodes of snr·W^(-1/2)·K·W^(-1/2); its
     value bounds the optimum from above (the dual value), and the same Q
     rescaled to the power cap N / max(t_A, t_B) is feasible (the primal
-    value).  Bisection on theta follows the sign of t_A - t_B, and an
+    value).  A root search on theta for the sign change of
+    f(theta) = (t_A - t_B) / N keeps a bracket [lo, hi] with f(lo) > 0 >= f(hi)
+    and takes root-finding steps in this order:
+
+    1. the midpoint 1/2;
+    2. the end of [0, 1] that step 1 points to, which either certifies an
+       end optimum (one power constraint is slack) or gives f at both ends;
+    3. Anderson-Björck false position on the bracket's end values, or the
+       midpoint when that point leaves the open bracket.
+
+    W(0) = P_B (W(1) = P_A) is singular when P_A has an eigenvalue 1 (0);
+    such an end is never evaluated, and step 2 bisects instead.  An
     instance stops once its smallest dual value is within `opts.grad_tol`
-    of its best primal value.  W shares the eigenvectors V of P_A, so the
-    whitening is a diagonal scaling in that basis.
+    of its best primal value; where H_A·E_A = 0 the capacity is 0 at any
+    precoder, so it stops before step 1.  W shares the eigenvectors V of
+    P_A, so the whitening is a diagonal scaling in that basis.
 
     Instance t·S + s pairs channel t with `snrs[s]`.  Returns the stacked
-    precoders G = B·C (T·S, 2N, d) of each best primal point, the bisection
-    steps, the best primal and smallest dual values (bits) per instance,
-    and the running best primal value after each step (steps, T·S).
+    precoders G = B·C (T·S, 2N, d) of each best primal point, the
+    root-finding steps, the best primal and smallest dual values (bits) per
+    instance, and the running best primal value after each step (steps, T·S).
     """
     e_a = basis[:, :n]
     a, v = np.linalg.eigh(_herm(e_a) @ e_a)
@@ -268,18 +322,32 @@ def _solve_dual(
     k = (snrs[:, None, None] * (_herm(hv) @ hv)[:, None]).reshape(-1, d, d)
     a = np.repeat(a, count, axis=0)
     size = len(k)
+    zero_end_ok, one_end_ok = np.all(a < 1.0, axis=1), np.all(a > 0.0, axis=1)
     lo, hi = np.zeros(size), np.ones(size)
-    primal, dual = np.full(size, -np.inf), np.full(size, np.inf)
+    f_lo, f_hi = np.full(size, np.nan), np.full(size, np.nan)  # f at the ends, once known
+    lo_moved = np.zeros(size, dtype=bool)  # which end the latest step moved
+    blind = ~np.any(k, axis=(1, 2))  # H_A·E_A = 0
+    primal, dual = np.where(blind, 0.0, -np.inf), np.where(blind, 0.0, np.inf)
     best_c = np.zeros((size, d, d), dtype=complex)
     iterations = np.zeros(size, dtype=int)
-    active = np.ones(size, dtype=bool)
+    active = ~blind
     trace = []
-    for _ in range(opts.max_iters):
+    for step in range(opts.max_iters):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        theta = ((lo[idx] + hi[idx]) / 2)[:, None]
-        w_isqrt = 1.0 / np.sqrt(theta * a[idx] + (1.0 - theta) * (1.0 - a[idx]))
+        l, h, fl, fh, up = lo[idx], hi[idx], f_lo[idx], f_hi[idx], lo_moved[idx]
+        mid = (l + h) / 2
+        if step == 0:
+            theta = mid
+        elif step == 1:  # the end that step 1 points to, unless W is singular there
+            end_ok = np.where(up, one_end_ok[idx], zero_end_ok[idx])
+            theta = np.where(end_ok, up.astype(float), mid)
+        else:
+            theta = l + (h - l) * (fl / (fl - fh))
+            theta = np.where((theta > l) & (theta < h), theta, mid)
+        th = theta[:, None]
+        w_isqrt = 1.0 / np.sqrt(th * a[idx] + (1.0 - th) * (1.0 - a[idx]))
         gains, u = np.linalg.eigh(k[idx] * w_isqrt[:, :, None] * w_isqrt[:, None, :])
         p = _waterfill(gains, n)
         # diagonal of Q = diag(w_isqrt)·U·diag(p)·U^H·diag(w_isqrt) in the basis V
@@ -296,9 +364,15 @@ def _solve_dual(
         best_c[idx[better]] = c[better]
         dual[idx] = np.minimum(dual[idx], value)
         iterations[idx] += 1
+        f = (t_a - t_b) / n
         heavier_a = t_a > t_b
-        lo[idx] = np.where(heavier_a, theta[:, 0], lo[idx])
-        hi[idx] = np.where(heavier_a, hi[idx], theta[:, 0])
+        # Anderson-Björck: when the same end moves twice running, the value
+        # kept at the other end shrinks by m = 1 - f(new) / f(previous), or by 1/2
+        m = 1.0 - f / np.where(heavier_a, fl, fh)
+        shrink = np.where(heavier_a == up, np.where(m > 0, m, 0.5), 1.0)
+        lo[idx], f_lo[idx] = np.where(heavier_a, theta, l), np.where(heavier_a, f, fl * shrink)
+        hi[idx], f_hi[idx] = np.where(heavier_a, h, theta), np.where(heavier_a, fh * shrink, f)
+        lo_moved[idx] = heavier_a
         active[idx] = dual[idx] - primal[idx] > opts.grad_tol
         trace.append(primal.copy())
     g = np.repeat(basis @ v, count, axis=0) @ best_c
@@ -313,7 +387,7 @@ def optimize_precoders(
     """Capacity-optimal aligned precoders, certified by the duality gap.
 
     Runs the dual water-filling solver on a batch of one; `iterations`
-    counts its bisection steps.  `trace` starts at capacity(init) and
+    counts its root-finding steps.  `trace` starts at capacity(init) and
     holds the running best primal value after each step, and `dual_gap`
     (the smallest dual value minus trace[-1]) bounds how far `capacity`
     lies below the optimum, up to rounding.  For d = 1 the feasible set is
@@ -374,10 +448,12 @@ def ergodic_capacity_mc(
 
     Each trial derives its own random stream from (seed, trial index), so
     results are deterministic for a fixed seed regardless of scheduling.
-    Returns rows (snr, mean capacity in bits).  The optimized method
-    solves every trial x SNR instance in one batched call of the solver
-    behind :func:`optimize_precoders`, with `OptimizeOptions()`, and like
-    it keeps the better of that pair and ZF per instance.
+    Returns rows (snr, mean capacity in bits).  The trials are stacked and
+    evaluated in one pass: one nullspace SVD (or inverse) per channel for
+    ZF, one log-det per method for all trials x SNRs, and for the optimized
+    method one call of the solver behind :func:`optimize_precoders`, with
+    `OptimizeOptions()` and ZF's nullspace basis; like that function it
+    keeps the better of that pair and ZF per instance.
     """
     if method not in ("zf", "optimized"):
         raise ValueError("method must be 'zf' or 'optimized'")
@@ -386,21 +462,16 @@ def ergodic_capacity_mc(
     if d != 2 * N - M or d < 1:
         raise ValueError("require d = 2N - M >= 1")
     channels = [draw_channel_pair(M, N, np.random.default_rng([seed, t])) for t in range(trials)]
-    caps = []
-    for ha, hb in channels:
-        pair = zf_precoders(PrecoderProblem(H_A=ha, H_B=hb))  # independent of the SNR
-        caps.append([capacity(ha, pair.g_a, snr) for snr in snr_list])
-    if method == "optimized" and d > 1:
-        # all trials x SNRs in one solve; for d = 1 ZF is already optimal
-        h_a = np.stack([ha for ha, _ in channels])
-        basis = np.stack([nullspace_basis(ha, hb) for ha, hb in channels])
-        g = _solve_dual(basis, h_a, np.asarray(snr_list, dtype=float), N, OptimizeOptions())[0]
-        g_a = g[:, :N].reshape(trials, len(snr_list), N, d)
-        for t, row in enumerate(caps):
-            for i, snr in enumerate(snr_list):
-                row[i] = max(row[i], capacity(h_a[t], g_a[t, i], snr))
-    sums = [0.0 for _ in snr_list]
-    for row in caps:
-        for i, cap in enumerate(row):
-            sums[i] += cap
-    return [(snr, sums[i] / trials) for i, snr in enumerate(snr_list)]
+    h_a, h_b = (np.stack(h) for h in zip(*channels))
+    optimized = method == "optimized" and d > 1  # for d = 1 ZF is already optimal
+    basis = nullspace_basis(h_a, h_b) if optimized or M != N else None
+    snrs = np.asarray(snr_list, dtype=float)
+    # ZF is independent of the SNR: one precoder per trial, one capacity per trial x SNR
+    caps = capacity(h_a[:, None], _zf(h_a, h_b, basis)[0][:, None], snrs)
+    if optimized:
+        g = _solve_dual(basis, h_a, snrs, N, OptimizeOptions())[0]
+        g_a = g[:, :N].reshape(trials, len(snrs), N, d)
+        caps = np.maximum(caps, capacity(h_a[:, None], g_a, snrs))
+    # running sums in trial order, as a per-trial loop would add them
+    sums = np.cumsum(caps, axis=0)[-1]
+    return [(snr, float(total) / trials) for snr, total in zip(snr_list, sums)]

@@ -222,6 +222,25 @@ class TestMimo:
         code, _, _ = invoke(["mimo", "--m", "5", "--n", "2", "--trials", "2"])
         assert code == EXIT_INFEASIBLE
 
+    # Reference bytes.  The 3x3 seed-342 mean at 15 dB sits next to a rounding
+    # boundary: it moves in its last printed digit if the ZF power norm sums in
+    # another order than np.linalg.norm does.
+    @pytest.mark.parametrize(
+        "m,n,seed,expected",
+        [
+            (2, 2, 1, "0.554059133853 1.42161439958 3.07113192687 5.51346383582 8.47253867054"),
+            (3, 3, 342, "0.360437070993 1.01084402047 2.46940720218 5.03494338696 8.63093404663"),
+            (4, 3, 17, "1.56173066522 3.30435490784 5.82116501479 8.82003933472 12.0296954762"),
+            (3, 2, 5, "0.789776750496 1.67343758029 2.93908108534 4.44031246164 6.0454136705"),
+        ],
+    )
+    def test_zf_bytes_pinned(self, m, n, seed, expected):
+        argv = ["mimo", "--m", str(m), "--n", str(n), "--method", "zf", "--trials", "5"]
+        code, out, _ = invoke(argv + ["--seed", str(seed)])
+        assert code == EXIT_OK
+        rows = zip((0, 5, 10, 15, 20), expected.split())
+        assert out == "snr_db,mean_capacity_bits\n" + "".join(f"{db},{v}\n" for db, v in rows)
+
     def test_determinism_byte_identical(self):
         argv = [
             "mimo", "--m", "4", "--n", "3", "--snr-db", "0,10",

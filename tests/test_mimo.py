@@ -19,6 +19,9 @@ from pnc.mimo import (
     precoder_space_dim,
     zf_precoders,
 )
+from pnc.mimo import _frobenius, _solve_dual, _zf
+
+SNRS = np.array([10 ** (db / 10) for db in (0, 5, 10, 15, 20)])
 
 
 def seeded_problem(M, N, seed, snr=10.0):
@@ -310,6 +313,38 @@ class TestOptimize:
         stationarity, dry, negative = kkt_violations(prob, res.pair)
         assert stationarity <= 1e-6 and dry <= 1e-6 and negative <= 1e-6
 
+    @pytest.mark.parametrize("M,N", [(2, 2), (3, 3), (4, 3), (5, 4), (6, 4)])
+    def test_mean_root_finding_steps(self, M, N):
+        # bisection alone needs about 32 steps per instance to reach the 1e-10 gap
+        channels = [draw_channel_pair(M, N, np.random.default_rng([7, t])) for t in range(40)]
+        h_a, h_b = (np.stack(h) for h in zip(*channels))
+        _, steps, primal, dual, _ = _solve_dual(
+            nullspace_basis(h_a, h_b), h_a, SNRS, N, OptimizeOptions()
+        )
+        assert np.all(dual - primal <= 1e-10)
+        assert steps.mean() <= 10
+
+    @pytest.mark.parametrize("slack", ["A", "B"])
+    def test_end_optimum_certified_in_two_steps(self, slack):
+        # the other user's channel is stronger, so its power constraint is
+        # slack at the optimum (theta = 0 or 1), where capacity = d·log2(1 + snr)
+        strong, unit = np.diag([2.0, 3.0]), np.eye(2)
+        h_a, h_b = (strong, unit) if slack == "A" else (unit, strong)
+        prob = PrecoderProblem(H_A=h_a, H_B=h_b, p_a=5.0, p_b=5.0)
+        res = optimize_precoders(prob)
+        assert res.iterations <= 2 and res.converged and res.dual_gap <= 1e-10
+        assert res.capacity == pytest.approx(2 * math.log2(11.0), abs=1e-10)
+        pa, pb = res.pair.powers()
+        assert (pa, pb)[slack == "A"] == pytest.approx(2, abs=1e-9)
+        assert (pa, pb)[slack == "B"] < 2 - 0.1
+
+    def test_blind_channel_stops_before_the_first_step(self):
+        # H_A·E_A = 0: every precoder has capacity 0, certified with no step
+        prob = PrecoderProblem(H_A=np.zeros((2, 2)), H_B=np.eye(2))
+        res = optimize_precoders(prob, PrecoderPair(np.eye(2), np.zeros((2, 2))))
+        assert res.iterations == 0 and res.converged and res.stop_reason == "gap_tol"
+        assert res.dual_gap == 0.0 and res.capacity == 0.0 and res.trace == [0.0]
+
     def test_beats_the_ascent_at_20_db(self):
         gains = []
         for seed in range(10):
@@ -338,6 +373,52 @@ class TestProperties:
             + prob.p_b / prob.N * np.linalg.norm(prob.H_B @ pair.g_b) ** 2
         )
         assert measured == pytest.approx(expected, rel=0.05)
+
+
+def stacked_channels(M, N, seed, trials, shrink):
+    """`trials` seeded channel pairs, H_A's last column pushed towards its first by `shrink`."""
+    rng = np.random.default_rng(seed)
+    h_a, h_b = (np.stack(h) for h in zip(*(draw_channel_pair(M, N, rng) for _ in range(trials))))
+    h_a[:, :, -1] = h_a[:, :, 0] + shrink * h_a[:, :, -1]
+    return h_a, h_b
+
+
+class TestStacked:
+    """A stack of instances gives, bit for bit, what each instance gives alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 2), (3, 3), (4, 3), (5, 4), (3, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+        shrink=st.sampled_from([1.0, 1e-3, 1e-6]),
+    )
+    def test_matches_per_instance_and_stays_feasible(self, shape, seed, shrink):
+        M, N = shape
+        h_a, h_b = stacked_channels(M, N, seed, 4, shrink)
+        basis = nullspace_basis(h_a, h_b)
+        g_a, g_b = _zf(h_a, h_b, None if M == N else basis)
+        caps = capacity(h_a[:, None], g_a[:, None], SNRS)
+        norms_a, norms_b = _frobenius(g_a), _frobenius(g_b)
+        for t in range(len(h_a)):
+            np.testing.assert_array_equal(basis[t], nullspace_basis(h_a[t], h_b[t]))
+            pair = zf_precoders(PrecoderProblem(H_A=h_a[t], H_B=h_b[t]))
+            np.testing.assert_array_equal(g_a[t], pair.g_a)
+            np.testing.assert_array_equal(g_b[t], pair.g_b)
+            # the power norm is reduced exactly as np.linalg.norm reduces it
+            assert norms_a[t] == np.linalg.norm(pair.g_a)
+            assert norms_b[t] == np.linalg.norm(pair.g_b)
+            assert caps[t].tolist() == [capacity(h_a[t], pair.g_a, snr) for snr in SNRS]
+        precoders = [(g_a, g_b, h_a, h_b)]
+        if M < 2 * N - 1:
+            g = _solve_dual(basis, h_a, SNRS, N, OptimizeOptions())[0]
+            rep = (np.repeat(h, len(SNRS), axis=0) for h in (h_a, h_b))
+            precoders.append((g[:, :N], g[:, N:], *rep))
+        for ga, gb, ha, hb in precoders:
+            for t in range(len(ga)):
+                pair = PrecoderPair(ga[t], gb[t])
+                assert pair.alignment_residual(ha[t], hb[t]) < 1e-10
+                pa, pb = pair.powers()
+                assert max(pa, pb) == pytest.approx(N, abs=1e-9)
 
 
 class TestErgodicMc:
