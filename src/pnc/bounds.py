@@ -74,8 +74,8 @@ def ub_pam(M_A: int, M_B: int) -> float:
 def guaranteed_entropy(x: int, side: Side, profile: SumProfile) -> float:
     """min over the other user's symbols of log2(preimage count of the sum).
 
-    Brute-force evaluation; `profile` must come from PAM inputs so the
-    constellations can be reconstructed from its orders.
+    Brute-force evaluation; `profile` must come from :func:`pam_sum_profile`,
+    whose recorded orders rebuild the two constellations.
     """
     if profile.orders is None:
         raise ValueError("profile must carry PAM orders")
@@ -90,19 +90,15 @@ def guaranteed_entropy(x: int, side: Side, profile: SumProfile) -> float:
 def guaranteed_entropy_pam(x: int, side: Side, M_A: int, M_B: int) -> float:
     """Closed-form guaranteed entropy for PAM constellations.
 
-    Alice: log2((M_A + 1 - |x|) / 2).  Bob: the full m_A bits on the
-    inner points |x| <= M_B - 2*M_A + 1, then log2((M_B + 1 - |x|) / 2).
+    One staircase for both sides: log2(min(d + 1, M_A)), where x is a point
+    of its side's M-PAM alphabet (M = M_A for Alice, M_B for Bob) and
+    d = (M - 1 - |x|) / 2 is its distance in steps from the nearer rim.
     """
     _validate_orders(M_A, M_B)
-    if side == "alice":
-        if not _is_pam_point(x, M_A):
-            raise ValueError(f"{x} is not in the {M_A}-PAM constellation")
-        return math.log2((M_A + 1 - abs(x)) / 2)
-    if not _is_pam_point(x, M_B):
-        raise ValueError(f"{x} is not in the {M_B}-PAM constellation")
-    if abs(x) <= M_B - 2 * M_A + 1:
-        return float(M_A.bit_length() - 1)
-    return math.log2((M_B + 1 - abs(x)) / 2)
+    M = M_A if side == "alice" else M_B
+    if not _is_pam_point(x, M):
+        raise ValueError(f"{x} is not in the {M}-PAM constellation")
+    return math.log2(min((M + 1 - abs(x)) // 2, M_A))
 
 
 def ub_nocoop(M_A: int, M_B: int) -> tuple[float, float]:

@@ -1,8 +1,8 @@
 """Command-line front end: `pnc <subcommand>`.
 
 Scalar reports are emitted as JSON, data series as CSV with a header row
-and 12-significant-digit floats.  Exit codes: 0 success, 2 usage error,
-3 infeasible parameters.
+and 12-significant-digit floats.  Exit codes: 0 success, 2 usage error
+(including a flag that the chosen mode ignores), 3 infeasible parameters.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from . import encoders as enc_mod
 from . import mimo as mimo_mod
 from . import sync as sync_mod
-from .constellation import pam_sum_profile
+from .constellation import _validate_orders, pam_sum_profile
 
 __all__ = ["main", "run", "DEFAULT_SEED"]
 
@@ -29,10 +29,6 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 FIGURES = ("rays_pmf", "sync_err", "gaps", "cap_approx")
-
-
-class InfeasibleParameters(ValueError):
-    pass
 
 
 def _fmt(v) -> str:
@@ -55,22 +51,19 @@ def _write_csv(rows, header, path=None, out=sys.stdout):
         out.write(text)
 
 
-def _check_orders(ma: int, mb: int):
-    try:
-        bounds_mod.ub_pam(ma, mb)
-    except ValueError as exc:
-        raise InfeasibleParameters(str(exc)) from exc
+def _profile_rows(ma: int, mb: int):
+    profile = pam_sum_profile(ma, mb)
+    return ("y", "count", "pmf"), [(y, profile.count(y), profile.pmf(y)) for y in profile.support()]
 
 
 def _cmd_profile(args, out):
-    _check_orders(args.ma, args.mb)
-    profile = pam_sum_profile(args.ma, args.mb)
-    rows = [(y, profile.count(y), profile.count(y) / profile.total) for y in profile.support()]
-    _write_csv(rows, ("y", "count", "pmf"), args.csv, out)
+    _validate_orders(args.ma, args.mb)
+    header, rows = _profile_rows(args.ma, args.mb)
+    _write_csv(rows, header, args.csv, out)
 
 
 def _cmd_bounds(args, out):
-    _check_orders(args.ma, args.mb)
+    _validate_orders(args.ma, args.mb)
     b = bounds_mod.compute_bounds(args.ma, args.mb)
     gap_a, gap_b, gap_a_coop = enc_mod.gaps(args.ma, args.mb)
     r_a, r_b = enc_mod.rate_nocoop(args.ma, args.mb)
@@ -89,7 +82,7 @@ def _cmd_bounds(args, out):
 
 
 def _cmd_encode(args, out):
-    _check_orders(args.ma, args.mb)
+    _validate_orders(args.ma, args.mb)
     queues = enc_mod.BitQueues(public_bits=args.public, secret_bits=args.secret)
     if args.scheme == "nocoop":
         partition = enc_mod.build_partition(args.ma, args.mb, args.side)
@@ -100,15 +93,15 @@ def _cmd_encode(args, out):
         symbols = enc_mod.encode_stream(queues, partition, count=count)
     else:
         if not args.levels:
-            raise InfeasibleParameters("--levels is required for the coop scheme")
+            raise ValueError("--levels is required for the coop scheme")
         symbols = enc_mod.encode_coop(queues, args.levels, enc_mod.make_pam(args.ma))
         if not queues.exhausted:
-            raise InfeasibleParameters("bits left over after the supplied levels")
+            raise ValueError("bits left over after the supplied levels")
     out.write(",".join(str(s) for s in symbols) + "\n")
 
 
 def _cmd_audit(args, out):
-    _check_orders(args.ma, args.mb)
+    _validate_orders(args.ma, args.mb)
     scheme = {"nocoop": f"nocoop_{args.side}", "coop": "coop"}[args.scheme]
     report = enc_mod.audit_leakage(scheme, args.ma, args.mb)
     payload = {
@@ -122,7 +115,7 @@ def _cmd_audit(args, out):
 
 
 def _cmd_sync_sweep(args, out):
-    _check_orders(args.ma, args.mb)
+    _validate_orders(args.ma, args.mb)
     rows = sync_mod.sync_sweep(args.ma, args.mb, args.step)
     _write_csv(rows, ("dta", "dtb", "ub"), args.csv, out)
 
@@ -137,9 +130,7 @@ def _cmd_mimo(args, out):
         return
     d = 2 * args.n - args.m
     if d < 1:
-        raise InfeasibleParameters(
-            f"no interference-free dimensions for (M, N) = ({args.m}, {args.n})"
-        )
+        raise ValueError(f"no interference-free dimensions for (M, N) = ({args.m}, {args.n})")
     method = {"zf": "zf", "opt": "optimized"}[args.method]
     result = mimo_mod.ergodic_capacity_mc(
         args.m, args.n, d, [10 ** (db / 10) for db in args.snr_db], args.trials, args.seed, method
@@ -150,11 +141,7 @@ def _cmd_mimo(args, out):
 
 def _figure_rows(figure: str, trials: int, seed: int):
     if figure == "rays_pmf":
-        profile = pam_sum_profile(4, 16)
-        return (
-            ("y", "count", "pmf"),
-            [(y, profile.count(y), profile.count(y) / profile.total) for y in profile.support()],
-        )
+        return _profile_rows(4, 16)
     if figure == "sync_err":
         return ("dta", "dtb", "ub"), sync_mod.sync_sweep(4, 16, 0.05)
     if figure == "gaps":
@@ -166,17 +153,15 @@ def _figure_rows(figure: str, trials: int, seed: int):
                 rows.append((ma, mb, gap_a, gap_b, gap_a_coop))
                 mb *= 2
         return ("ma", "mb", "gap_alice", "gap_bob", "gap_alice_coop"), rows
-    if figure == "cap_approx":
-        rows = []
-        snr_db = [0.0, 5.0, 10.0, 15.0, 20.0]
-        for m, n in ((2, 2), (3, 3), (3, 2), (4, 3)):
-            for method in ("zf", "optimized"):
-                result = mimo_mod.ergodic_capacity_mc(
-                    m, n, 2 * n - m, [10 ** (db / 10) for db in snr_db], trials, seed, method
-                )
-                rows.extend((m, n, method, db, mean) for db, (_, mean) in zip(snr_db, result))
-        return ("m", "n", "method", "snr_db", "mean_capacity_bits"), rows
-    raise InfeasibleParameters(f"unknown figure {figure!r}")
+    rows = []  # cap_approx, the last of FIGURES
+    snr_db = [0.0, 5.0, 10.0, 15.0, 20.0]
+    for m, n in ((2, 2), (3, 3), (3, 2), (4, 3)):
+        for method in ("zf", "optimized"):
+            result = mimo_mod.ergodic_capacity_mc(
+                m, n, 2 * n - m, [10 ** (db / 10) for db in snr_db], trials, seed, method
+            )
+            rows.extend((m, n, method, db, mean) for db, (_, mean) in zip(snr_db, result))
+    return ("m", "n", "method", "snr_db", "mean_capacity_bits"), rows
 
 
 def _cmd_figure(args, out):
@@ -207,6 +192,27 @@ def _list_of(kind):
     )
 
 
+class _Noted(argparse.Action):
+    """Store the value as argparse would, and note in `given` that the flag was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {*getattr(namespace, "given", ()), self.option_strings[0]}
+
+
+def _ignored_flags(args) -> tuple[str, tuple[str, ...]]:
+    """The mode the parsed command runs in and the (noted) flags that mode ignores."""
+    if args.command == "mimo" and args.dim:
+        return "--dim", ("--snr-db", "--trials", "--seed", "--method", "--csv")
+    if args.command == "figure" and args.name != "cap_approx":
+        return f"figure {args.name}", ("--trials", "--seed")
+    if args.command in ("encode", "audit") and args.scheme == "coop":
+        return "--scheme coop", ("--side",)
+    if args.command == "encode":
+        return "--scheme nocoop", ("--levels",)
+    return "", ()
+
+
 _POSITIVE_INT = _checked(int, "an int > 0", lambda v: v > 0)
 _POSITIVE_FLOAT = _checked(float, "a float > 0", lambda v: v > 0)  # nan is not
 _BITS = _checked(str, "a 0/1 string", lambda text: not text.strip("01"))
@@ -232,18 +238,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode public/secret bit queues to symbols")
     add_orders(p)
     p.add_argument("--scheme", choices=("nocoop", "coop"), required=True)
-    p.add_argument("--side", choices=("alice", "bob"), default="bob")
+    p.add_argument("--side", choices=("alice", "bob"), default="bob", action=_Noted)
     p.add_argument("--public", type=_BITS, default="", help="public bit string")
     p.add_argument("--secret", type=_BITS, default="", help="secret bit string")
     p.add_argument(
-        "--levels", type=_list_of(int), help="comma-separated secret-bit counts (coop)"
+        "--levels",
+        type=_list_of(int),
+        action=_Noted,
+        help="comma-separated secret-bit counts (coop)",
     )
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("audit", help="exact leakage report as JSON")
     add_orders(p)
     p.add_argument("--scheme", choices=("nocoop", "coop"), required=True)
-    p.add_argument("--side", choices=("alice", "bob"), default="bob")
+    p.add_argument("--side", choices=("alice", "bob"), default="bob", action=_Noted)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("sync-sweep", help="upper bound over the timing-offset grid")
@@ -256,17 +265,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="relay antennas M")
     p.add_argument("--n", type=int, required=True, help="user antennas N")
     p.add_argument("--dim", action="store_true", help="print dof and manifold dimension")
-    p.add_argument("--snr-db", type=_list_of(float), default="0,5,10,15,20")
-    p.add_argument("--trials", type=_POSITIVE_INT, default=1000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--method", choices=("zf", "opt"), default="zf")
-    p.add_argument("--csv", help="write to this path instead of stdout")
+    p.add_argument("--snr-db", type=_list_of(float), default="0,5,10,15,20", action=_Noted)
+    p.add_argument("--trials", type=_POSITIVE_INT, default=1000, action=_Noted)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, action=_Noted)
+    p.add_argument("--method", choices=("zf", "opt"), default="zf", action=_Noted)
+    p.add_argument("--csv", action=_Noted, help="write to this path instead of stdout")
     p.set_defaults(func=_cmd_mimo)
 
     p = sub.add_parser("figure", help="emit the data series behind a figure")
     p.add_argument("name", choices=FIGURES)
-    p.add_argument("--trials", type=_POSITIVE_INT, default=1000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=_POSITIVE_INT, default=1000, action=_Noted)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, action=_Noted)
     p.add_argument("--csv", help="write to this path instead of stdout")
     p.set_defaults(func=_cmd_figure)
 
@@ -279,9 +288,14 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    mode, ignored = _ignored_flags(args)
+    unused = [flag for flag in ignored if flag in getattr(args, "given", ())]
+    if unused:
+        err.write(f"error: {mode} ignores {', '.join(unused)}\n")
+        return EXIT_USAGE
     try:
         args.func(args, out)
-    except (InfeasibleParameters, ValueError, enc_mod.QueueUnderflow) as exc:
+    except (ValueError, enc_mod.QueueUnderflow) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
     return EXIT_OK

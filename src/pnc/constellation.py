@@ -75,7 +75,11 @@ class FiniteAlphabet:
 
 @dataclass(frozen=True)
 class SumProfile:
-    """Map from each achievable sum y to its preimage count |psi^-1(y)|."""
+    """Map from each achievable sum y to its preimage count |psi^-1(y)|.
+
+    `orders` is (M_A, M_B) for a profile built by :func:`pam_sum_profile`,
+    else None.
+    """
 
     entries: dict
     total: int
@@ -121,34 +125,22 @@ def sum_profile(a: FiniteAlphabet, b: FiniteAlphabet) -> SumProfile:
     decimal, and the sums are kept exact, keyed by Fraction (see
     SumProfile.count).
     """
-    exact = all(float(p).is_integer() for p in a.points) and all(
-        float(p).is_integer() for p in b.points
-    )
+    exact = all(float(p).is_integer() for p in (*a.points, *b.points))
     read = int if exact else lambda x: Fraction(str(x))
     entries: dict = {}
     for xa, xb in itertools.product(a.points, b.points):
         y = read(xa) + read(xb)
         entries[y] = entries.get(y, 0) + 1
-    total = len(a.points) * len(b.points)
-    orders = None
-    if exact:
-        ma, mb = len(a.points), len(b.points)
-        if (
-            _is_power_of_two(ma)
-            and _is_power_of_two(mb)
-            and tuple(sorted(a.points)) == make_pam(ma).points
-            and tuple(sorted(b.points)) == make_pam(mb).points
-        ):
-            orders = (ma, mb)
-    return SumProfile(entries=entries, total=total, orders=orders)
+    return SumProfile(entries=entries, total=len(a.points) * len(b.points))
 
 
 def pam_sum_profile(M_A: int, M_B: int) -> SumProfile:
-    """Sum profile of an M_A-PAM and an M_B-PAM alphabet."""
-    return sum_profile(
+    """Sum profile of an M_A-PAM and an M_B-PAM alphabet, recording the orders."""
+    profile = sum_profile(
         FiniteAlphabet.from_pam(make_pam(M_A)),
         FiniteAlphabet.from_pam(make_pam(M_B)),
     )
+    return SumProfile(entries=profile.entries, total=profile.total, orders=(M_A, M_B))
 
 
 def _validate_orders(M_A: int, M_B: int) -> None:
@@ -161,16 +153,14 @@ def _validate_orders(M_A: int, M_B: int) -> None:
 def preimage_count_pam(y, M_A: int, M_B: int) -> int:
     """Closed-form preimage count of y for M_A-PAM + M_B-PAM, M_B >= 2*M_A.
 
-    Three branches: zero for odd (or unreachable) y, a linearly decreasing
-    count on the two trapezoid edges, and the flat plateau M_A in the middle.
+    A reachable y (even, |y| < M_B + M_A) has min((M_B + M_A - |y|) // 2, M_A)
+    preimages: the staircase that rises by one per step in from the rim up
+    to the flat plateau M_A.  Any other y has none.
     """
     _validate_orders(M_A, M_B)
     if float(y) != int(y):
         return 0
-    y = int(y)
-    ay = abs(y)
-    if y % 2 != 0 or ay >= M_B + M_A:
+    ay = abs(int(y))
+    if ay % 2 or ay >= M_B + M_A:
         return 0
-    if ay <= M_B - M_A:
-        return M_A
-    return (M_B + M_A - ay) // 2
+    return min((M_B + M_A - ay) // 2, M_A)

@@ -98,8 +98,6 @@ class SecrecyPartition:
     rank r are secret.
     """
 
-    side: Side
-    m_a: int
     constellation: PamConstellation
     levels: tuple[int, ...]
 
@@ -128,7 +126,7 @@ def build_partition(M_A: int, M_B: int, side: Side) -> SecrecyPartition:
     m_a = M_A.bit_length() - 1
     M = M_A if side == "alice" else M_B
     levels = tuple(min(max(min(r, M - 1 - r).bit_length() - 1, 0), m_a) for r in range(M))
-    return SecrecyPartition(side=side, m_a=m_a, constellation=make_pam(M), levels=levels)
+    return SecrecyPartition(constellation=make_pam(M), levels=levels)
 
 
 def encode_stream(
@@ -169,14 +167,23 @@ def decode_stream(
     a secret suffix whose length is the peer partition's level at that
     point.
     """
-    pam = peer_partition.constellation
+    return _split_labels(
+        sums, own_symbols, peer_partition.constellation, lambda x, own: peer_partition.level_of(x)
+    )
+
+
+def _split_labels(sums: list, own_symbols: list, pam: PamConstellation, level) -> tuple[str, str]:
+    """Public and secret bits of each peer symbol x = y - own of `pam`.
+
+    The trailing level(x, own) label bits of x are secret, the rest public.
+    """
     m = pam.bits_per_symbol
     public, secret = [], []
     for y, own in zip(sums, own_symbols, strict=True):
         x = y - own
         if x not in pam:
             raise ValueError(f"recovered value {x} is not a {pam.order}-PAM point")
-        k = peer_partition.level_of(x)
+        k = level(x, own)
         bits = pam.label(x)
         public.append(bits[: m - k])
         secret.append(bits[m - k :])
@@ -224,18 +231,7 @@ def decode_coop(
     Bob recovers Alice's symbol as y - x_B and recomputes the secret-bit
     count from his own symbol, since that is what Alice keyed it off.
     """
-    pam = make_pam(M_A)
-    m = pam.bits_per_symbol
-    public, secret = [], []
-    for y, own in zip(sums, own_symbols, strict=True):
-        x = y - own
-        if x not in pam:
-            raise ValueError(f"recovered value {x} is not a {M_A}-PAM point")
-        k = coop_level(own, M_A, M_B)
-        bits = pam.label(x)
-        public.append(bits[: m - k])
-        secret.append(bits[m - k :])
-    return "".join(public), "".join(secret)
+    return _split_labels(sums, own_symbols, make_pam(M_A), lambda x, own: coop_level(own, M_A, M_B))
 
 
 def rate_coop(M_A: int, M_B: int) -> float:
@@ -277,7 +273,6 @@ class LeakageReport:
     """
 
     scheme: str
-    m_a: int
     suffix_mi: tuple[float, ...]
     semantic_mi: float
     flat_suffix_mi: tuple[float, ...]
@@ -356,7 +351,6 @@ def audit_leakage(scheme: str, M_A: int, M_B: int) -> LeakageReport:
     semantic_counts, semantic_mi, flat_semantic_mi = audit(lead | (rank & (lead - 1)))
     return LeakageReport(
         scheme=scheme,
-        m_a=m_a,
         suffix_mi=suffix_mi,
         semantic_mi=semantic_mi,
         flat_suffix_mi=flat_suffix_mi,

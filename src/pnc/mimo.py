@@ -171,27 +171,15 @@ def _herm(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x.conj(), -1, -2)
 
 
-def _frobenius(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix in a stack, bit for bit `np.linalg.norm`.
-
-    Like `np.linalg.norm`, this takes the real and the imaginary parts of
-    each matrix in memory order and reduces each by one (strided) dot
-    product; a row-by-column matmul is that dot product.  Other reductions
-    sum in another order and can move the last bit.
-    """
-    flat = np.swapaxes(x, -1, -2) if x.strides[-2] < x.strides[-1] else x
-    flat = flat.reshape(*x.shape[:-2], 1, -1)
-    sq = [part @ np.swapaxes(part, -1, -2) for part in (flat.real, flat.imag)]
-    return np.sqrt(sq[0] + sq[1])[..., 0, 0]
-
-
 def _inverse(h: np.ndarray) -> np.ndarray:
     """Inverse of each square channel; raises ValueError if any is (near) singular."""
     try:
         inv = np.linalg.inv(h)
     except np.linalg.LinAlgError:
         inv = None
-    if inv is None or not np.all(_frobenius(h) * _frobenius(inv) <= 1 / _RANK_TOL):
+    if inv is None or not np.all(
+        np.linalg.norm(h, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1)) <= 1 / _RANK_TOL
+    ):
         raise ValueError("square channel is singular to working precision")
     return inv
 
@@ -199,19 +187,20 @@ def _inverse(h: np.ndarray) -> np.ndarray:
 def _zf(
     h_a: np.ndarray, h_b: np.ndarray, basis: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-forcing precoders (G_A, G_B) of each channel pair of a stack.
+    """Zero-forcing precoders (G_A, G_B) of each channel pair of a stack (T, M, N).
 
     Square channels use their inverses; otherwise `basis` (from
     :func:`nullspace_basis`) is split into its two N-row blocks.  Either
-    pair is rescaled so that the larger of the two powers is N.
+    pair is rescaled so that the larger of the two powers is N, each norm
+    taken of a view into the stack, as `np.linalg.norm` of that matrix alone.
     """
     n = h_a.shape[-1]
     if h_a.shape[-2] == n:
         e_a, e_b = _inverse(h_a), _inverse(h_b)
     else:
         e_a, e_b = basis[..., :n, :], basis[..., n:, :]
-    gamma = np.maximum(_frobenius(e_a), _frobenius(e_b))[..., None, None]
-    return math.sqrt(n) * e_a / gamma, math.sqrt(n) * e_b / gamma
+    gamma = np.array([max(np.linalg.norm(a), np.linalg.norm(b)) for a, b in zip(e_a, e_b)])
+    return math.sqrt(n) * e_a / gamma[:, None, None], math.sqrt(n) * e_b / gamma[:, None, None]
 
 
 def zf_precoders(problem: PrecoderProblem) -> PrecoderPair:
@@ -224,9 +213,10 @@ def zf_precoders(problem: PrecoderProblem) -> PrecoderPair:
     """
     if problem.d < 1:
         raise ValueError("no interference-free dimensions: d = 2N - M < 1")
-    basis = None if problem.M == problem.N else nullspace_basis(problem.H_A, problem.H_B)
-    g_a, g_b = _zf(problem.H_A, problem.H_B, basis)
-    return PrecoderPair(g_a=g_a, g_b=g_b)
+    h_a, h_b = problem.H_A[None], problem.H_B[None]
+    basis = None if problem.M == problem.N else nullspace_basis(h_a, h_b)
+    g_a, g_b = _zf(h_a, h_b, basis)
+    return PrecoderPair(g_a=g_a[0], g_b=g_b[0])
 
 
 def capacity(H_A: np.ndarray, G_A: np.ndarray, snr: float | np.ndarray) -> float | np.ndarray:

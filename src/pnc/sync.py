@@ -46,7 +46,7 @@ _RATIONAL_SINES = {Fraction(0): 0, Fraction(1, 6): Fraction(1, 2), Fraction(1, 2
 
 @dataclass(frozen=True)
 class SyncParams:
-    """Timing offsets of the two users, each in [0, period].
+    """Timing offsets delta/T of the two users, as fractions of the symbol period in [0, 1].
 
     The bound reads each field x as the rational Fraction(str(x)): a float
     stands for its shortest decimal (0.1 is 1/10) and a Fraction for
@@ -55,24 +55,17 @@ class SyncParams:
 
     delta_a: float
     delta_b: float
-    period: float = 1.0
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("symbol period must be positive")
         for name, d in (("delta_a", self.delta_a), ("delta_b", self.delta_b)):
-            if not 0 <= d <= self.period:
-                raise ValueError(f"{name} must lie in [0, period]")
+            if not 0 <= d <= 1:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 def alpha_beta(p: SyncParams) -> tuple[float, float]:
     """Fraction of each user's energy leaking from the previous symbol."""
-
-    def coeff(delta: float) -> float:
-        r = delta / p.period
-        return math.sin(4 * math.pi * r) / (4 * math.pi) + r
-
-    return coeff(p.delta_a), coeff(p.delta_b)
+    alpha, beta = (math.sin(4 * math.pi * r) / (4 * math.pi) + r for r in (p.delta_a, p.delta_b))
+    return alpha, beta
 
 
 def _sine(r: Fraction) -> tuple[Fraction, Fraction]:
@@ -112,7 +105,7 @@ def _forms(offsets: list[Fraction]) -> tuple[tuple[int, ...], ...]:
 
 def _classes(M_A: int, M_B: int, p: SyncParams):
     """Forms keying Y over (s, d_a, d_b) and U over (x_A, d_a) at offsets p."""
-    r_a, r_b = (Fraction(str(d)) / Fraction(str(p.period)) for d in (p.delta_a, p.delta_b))
+    r_a, r_b = (Fraction(str(d)) for d in (p.delta_a, p.delta_b))
     y_forms = _forms([r_a, r_b])
     if len(y_forms) == 2:
         # Observations then coincide along one integer direction v of
@@ -178,7 +171,7 @@ def ub_with_sync(M_A: int, M_B: int, p: SyncParams) -> float:
 
 
 def sync_sweep(M_A: int, M_B: int, grid_step: float = 0.05) -> list[tuple[float, float, float]]:
-    """Rows (delta_a, delta_b, ub) over the full [0, 1]^2 offset grid, T = 1.
+    """Rows (delta_a, delta_b, ub) over the full [0, 1]^2 offset grid.
 
     Offsets are i * Fraction(str(grid_step)), capped at 1; the bound is
     evaluated once per exact observation class.

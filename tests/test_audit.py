@@ -52,6 +52,13 @@ class TestSuffixLeakage:
                 r = audit_leakage(scheme, M_A, M_B)
                 assert all(v == 0.0 for v in r.flat_suffix_mi)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize(
+        "M_A,M_B", [(ma, k * ma) for ma in (2, 4, 8, 16, 32, 64) for k in (2, 4, 8)]
+    )
+    def test_flat_region_is_exactly_zero_over_the_order_grid(self, scheme, M_A, M_B):
+        assert audit_leakage(scheme, M_A, M_B).flat_suffix_mi == (0.0,) * (M_A.bit_length() - 1)
+
     def test_flat_suffix_posterior_uniform(self):
         r = audit_leakage("nocoop_bob", 4, 16)
         post = r.suffix_posteriors[2][10]

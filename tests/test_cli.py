@@ -286,3 +286,48 @@ class TestFigure:
     def test_unknown_figure_exit_2(self):
         code, _, _ = invoke(["figure", "nonexistent"])
         assert code == EXIT_USAGE
+
+
+
+ORDERS = ["--ma", "4", "--mb", "16"]
+DIM = ["mimo", "--m", "4", "--n", "3", "--dim"]
+
+
+class TestIgnoredFlags:
+    """A flag that the chosen mode would ignore is a usage error that runs nothing."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            ([*DIM, "--csv", "dim.csv"], "--csv"),
+            ([*DIM, "--snr-db", "0"], "--snr-db"),
+            ([*DIM, "--trials", "3"], "--trials"),
+            ([*DIM, "--seed", "0"], "--seed"),
+            ([*DIM, "--method", "opt"], "--method"),
+            (["figure", "rays_pmf", "--trials", "3"], "--trials"),
+            (["figure", "sync_err", "--seed", "0"], "--seed"),
+            (["figure", "gaps", "--tri", "3"], "--trials"),  # an abbreviation names the flag
+            (["encode", *ORDERS, "--scheme", "nocoop", "--levels", "9,9"], "--levels"),
+            (["encode", *ORDERS, "--scheme", "coop", "--side", "bob", "--levels", "1"], "--side"),
+            (["audit", *ORDERS, "--scheme", "coop", "--side", "alice"], "--side"),
+        ],
+    )
+    def test_exit_2_naming_the_flag(self, argv, flag, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert flag in err
+        assert not any(tmp_path.iterdir())  # --csv wrote no file
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "mimo --m 2 --n 2 --trials 2 --seed 0 --method opt",
+            "figure cap_approx --trials 2 --seed 0",
+            "encode --ma 4 --mb 16 --scheme nocoop --side bob --public 00110110 --secret 1001",
+            "encode --ma 4 --mb 16 --scheme coop --levels 1 --public 0 --secret 1",
+            "audit --ma 4 --mb 16 --scheme nocoop --side bob",
+        ],
+    )
+    def test_flags_the_mode_reads_still_work(self, line):
+        assert invoke(line.split())[0] == EXIT_OK

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnc.bounds import guaranteed_entropy_pam, ub_pam, ub_nocoop
 from pnc.constellation import make_pam
@@ -234,6 +236,53 @@ class TestCooperativeScheme:
     def test_decode_coop_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             decode_coop([1, 3, 5], [0], 4, 16)
+
+
+DECODER_ORDERS = [(ma, k * ma) for ma in (2, 4, 8, 16, 32, 64) for k in (2, 4, 8)]
+
+
+def queues_and_peers(data, n, m, peer_pam):
+    """Queues of n*m random public and n*m random secret bits, and n random peer symbols."""
+    bits = st.text("01", min_size=n * m, max_size=n * m)
+    queues = BitQueues(data.draw(bits), data.draw(bits))
+    peers = data.draw(st.lists(st.sampled_from(peer_pam.points), min_size=n, max_size=n))
+    return queues, peers
+
+
+class TestDecoderProperties:
+    """Both decoders return exactly the bit prefixes their encoder consumed."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        orders=st.sampled_from(DECODER_ORDERS),
+        side=st.sampled_from(["alice", "bob"]),
+        n=st.integers(0, 16),
+        data=st.data(),
+    )
+    def test_stream_round_trip(self, orders, side, n, data):
+        M_A, M_B = orders
+        part = build_partition(M_A, M_B, side)
+        peer = make_pam(M_B if side == "alice" else M_A)
+        q, peers = queues_and_peers(data, n, part.constellation.bits_per_symbol, peer)
+        symbols = encode_stream(q, part, count=n)
+        sums = [x + p for x, p in zip(symbols, peers)]
+        assert decode_stream(sums, peers, part) == (
+            q.public_bits[: q.public_cursor],
+            q.secret_bits[: q.secret_cursor],
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(orders=st.sampled_from(DECODER_ORDERS), n=st.integers(0, 16), data=st.data())
+    def test_coop_round_trip(self, orders, n, data):
+        M_A, M_B = orders
+        pam = make_pam(M_A)
+        q, bob = queues_and_peers(data, n, pam.bits_per_symbol, make_pam(M_B))
+        symbols = encode_coop(q, [coop_level(x, M_A, M_B) for x in bob], pam)
+        sums = [x + b for x, b in zip(symbols, bob)]
+        assert decode_coop(sums, bob, M_A, M_B) == (
+            q.public_bits[: q.public_cursor],
+            q.secret_bits[: q.secret_cursor],
+        )
 
 
 class TestRates:

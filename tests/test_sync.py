@@ -94,11 +94,6 @@ class TestAlphaBeta:
         a, _ = alpha_beta(SyncParams(0.125, 0.3))
         assert a == pytest.approx(1 / (4 * math.pi) + 0.125, abs=1e-15)
 
-    def test_period_scaling(self):
-        a1, b1 = alpha_beta(SyncParams(0.125, 0.25))
-        a2, b2 = alpha_beta(SyncParams(0.25, 0.5, period=2.0))
-        assert (a1, b1) == pytest.approx((a2, b2), abs=1e-15)
-
     def test_full_period(self):
         a, b = alpha_beta(SyncParams(1.0, 1.0))
         assert a == pytest.approx(1.0, abs=1e-12)
@@ -109,8 +104,6 @@ class TestAlphaBeta:
             SyncParams(-0.1, 0.0)
         with pytest.raises(ValueError):
             SyncParams(0.0, 1.5)
-        with pytest.raises(ValueError):
-            SyncParams(0.1, 0.1, period=0.0)
 
 
 class TestUbWithSync:
