@@ -25,7 +25,7 @@ from typing import Literal
 import numpy as np
 
 from .constellation import SumProfile, _is_pam_point, _validate_orders, make_pam
-from .info import _MAX_TOTAL, conditional_mi_bits, joint_counts, mi_bits
+from .info import conditional_mi_bits, joint_counts, mi_bits
 
 __all__ = [
     "Side",
@@ -113,22 +113,22 @@ def csiszar_ub(joint: dict) -> float:
     """[I(Y_recv; X | X_other) - I(Y; X)]^+ from an exact finite joint pmf.
 
     `joint` maps tuples (y, y_recv, x, x_other) of integer keys to exact
-    rational probabilities (Fractions or ints) summing to exactly 1.  Each
-    outcome is repeated by its count over the common denominator, so memory
-    grows with that denominator, and :mod:`pnc.info` evaluates both terms
-    from those integer counts.  The positive-part clamp is applied to the
-    difference, never per term.
+    nonnegative rational probabilities (Fractions or ints) summing to
+    exactly 1.  Each outcome is weighted by its count over the common
+    denominator, which must fit an int64, and :mod:`pnc.info` evaluates
+    both terms from those integer counts.  The positive-part clamp is
+    applied to the difference, never per term.
     """
     probs = [Fraction(p) for p in joint.values()]
-    if sum(probs) != 1:
-        raise ValueError("joint distribution must sum to exactly 1")
+    if sum(probs) != 1 or min(probs) < 0:
+        raise ValueError("joint distribution must be nonnegative and sum to exactly 1")
     denom = math.lcm(*(p.denominator for p in probs))
-    if denom > _MAX_TOTAL:
-        raise ValueError(f"common denominator {denom} exceeds the exact range {_MAX_TOTAL}")
+    if denom > np.iinfo(np.int64).max:
+        raise ValueError(f"common denominator {denom} does not fit an int64")
     counts = [p.numerator * (denom // p.denominator) for p in probs]
-    y, y_recv, x, x_other = np.repeat(np.asarray(list(joint)), counts, axis=0).T
-    keep = conditional_mi_bits(x, y_recv, x_other)
-    leak = mi_bits(joint_counts(y, x)[0])
+    y, y_recv, x, x_other = np.asarray(list(joint)).T
+    keep = conditional_mi_bits(x, y_recv, x_other, counts)
+    leak = mi_bits(joint_counts(y, x, counts)[0])
     return max(keep - leak, 0.0)
 
 

@@ -2,7 +2,8 @@
 
 Scalar reports are emitted as JSON, data series as CSV with a header row
 and 12-significant-digit floats.  Exit codes: 0 success, 2 usage error
-(including a flag that the chosen mode ignores), 3 infeasible parameters.
+(including a flag that the chosen mode ignores or a missing flag that it
+needs), 3 infeasible parameters.
 """
 
 from __future__ import annotations
@@ -92,8 +93,6 @@ def _cmd_encode(args, out):
         )
         symbols = enc_mod.encode_stream(queues, partition, count=count)
     else:
-        if not args.levels:
-            raise ValueError("--levels is required for the coop scheme")
         symbols = enc_mod.encode_coop(queues, args.levels, enc_mod.make_pam(args.ma))
         if not queues.exhausted:
             raise ValueError("bits left over after the supplied levels")
@@ -262,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sync_sweep)
 
     p = sub.add_parser("mimo", help="MIMO ergodic capacity or dimension report")
-    p.add_argument("--m", type=int, required=True, help="relay antennas M")
-    p.add_argument("--n", type=int, required=True, help="user antennas N")
+    p.add_argument("--m", type=_POSITIVE_INT, required=True, help="relay antennas M")
+    p.add_argument("--n", type=_POSITIVE_INT, required=True, help="user antennas N")
     p.add_argument("--dim", action="store_true", help="print dof and manifold dimension")
     p.add_argument("--snr-db", type=_list_of(float), default="0,5,10,15,20", action=_Noted)
     p.add_argument("--trials", type=_POSITIVE_INT, default=1000, action=_Noted)
@@ -292,6 +291,9 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     unused = [flag for flag in ignored if flag in getattr(args, "given", ())]
     if unused:
         err.write(f"error: {mode} ignores {', '.join(unused)}\n")
+        return EXIT_USAGE
+    if args.command == "encode" and args.scheme == "coop" and args.levels is None:
+        err.write("error: --scheme coop requires --levels\n")
         return EXIT_USAGE
     try:
         args.func(args, out)

@@ -153,7 +153,17 @@ class TestCsiszarBound:
         with pytest.raises(ValueError, match="sum to exactly 1"):
             csiszar_ub({(0, 0, 0, 0): 0.1, (1, 1, 1, 0): 0.9})
 
+    def test_rejects_negative_probability(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            csiszar_ub({(0, 0, 0, 0): Fraction(3, 2), (0, 1, 1, 0): Fraction(-1, 2)})
+
+    def test_denominator_2_53_is_exact(self):
+        # 0.6 + 0.4 is exactly 1, over the denominator 2**53; the receiver sees
+        # X, the eavesdropper nothing, so the bound is h(0.6)
+        assert csiszar_ub({(0, 0, 0, 0): 0.6, (0, 1, 1, 0): 0.4}) == 0.9709505944546686
+
     def test_rejects_denominator_beyond_exact_range(self):
-        # 0.6 + 0.4 is exactly 1, over the denominator 2**53
+        # 3**40 > int64 max
+        tiny = Fraction(1, 3**40)
         with pytest.raises(ValueError, match="denominator"):
-            csiszar_ub({(0, 0, 0, 0): 0.6, (1, 1, 1, 0): 0.4})
+            csiszar_ub({(0, 0, 0, 0): tiny, (1, 1, 1, 0): 1 - tiny})

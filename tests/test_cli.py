@@ -98,11 +98,12 @@ class TestEncode:
         assert flag in capsys.readouterr().err
 
     def test_coop_requires_levels(self):
-        code, _, err = invoke(
+        code, out, err = invoke(
             ["encode", "--ma", "4", "--mb", "16", "--scheme", "coop", "--public", "01"]
         )
-        assert code == EXIT_INFEASIBLE
-        assert "levels" in err
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--levels" in err
 
     def test_malformed_levels_exit_2(self, capsys):
         code, out, _ = invoke(
@@ -217,6 +218,20 @@ class TestMimo:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,argv",
+        [
+            ("--m", ["--m", "0", "--n", "1", "--dim"]),
+            ("--m", ["--m", "-2", "--n", "3", "--trials", "3"]),
+            ("--n", ["--m", "3", "--n", "0", "--trials", "3"]),
+        ],
+    )
+    def test_non_positive_antennas_exit_2(self, flag, argv, capsys):
+        code, out, _ = invoke(["mimo", *argv])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"argument {flag}" in capsys.readouterr().err
 
     def test_infeasible_geometry_exit_3(self):
         code, _, _ = invoke(["mimo", "--m", "5", "--n", "2", "--trials", "2"])

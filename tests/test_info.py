@@ -13,6 +13,20 @@ weights = st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_siz
 small_weights = st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=6)
 
 
+@st.composite
+def big_tables(draw):
+    """Tables with entries up to 2**40: outer(u, v) plus a sparse nonnegative offset."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    factors = [
+        draw(st.lists(st.integers(0, 2**20 - 1), min_size=size, max_size=size)) for size in shape
+    ]
+    for f in factors:  # keeps the total above 2**32
+        f[0] = draw(st.integers(2**16, 2**20 - 1))
+    u, v = factors
+    offset = st.one_of(st.just(0), st.integers(0, 2**20))
+    return [[a * b + draw(offset) for b in v] for a in u]
+
+
 class TestJointCounts:
     def test_counts_occurring_values_only(self):
         table, a_values, b_values = joint_counts([10**12, -3, -3, 10**12], [7, 7, 0, 7])
@@ -33,6 +47,18 @@ class TestJointCounts:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             joint_counts([1, 2, 3], [1, 2])
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 20)), min_size=1))
+    def test_weights_count_repeated_keys(self, triples):
+        a, b, w = map(np.array, zip(*triples))
+        table, a_values, b_values = joint_counts(a, b, w)
+        rep_table, rep_a, rep_b = joint_counts(np.repeat(a, w), np.repeat(b, w))
+        # a value that occurs only with weight 0 keeps an all-zero row or column
+        rows, cols = table.any(axis=1), table.any(axis=0)
+        assert table[rows][:, cols].tolist() == rep_table.tolist()
+        assert a_values[rows].tolist() == rep_a.tolist()
+        assert b_values[cols].tolist() == rep_b.tolist()
+        assert table.sum() == w.sum()
 
 
 class TestMiBits:
@@ -55,9 +81,27 @@ class TestMiBits:
         h = -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3)
         assert mi_bits([[2, 1], [1, 2]]) == pytest.approx(1 - h, rel=1e-15)
 
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            mi_bits([[2**31, 2**31]])
+    def test_large_totals_are_exact(self):
+        # total 2**32: n * n does not fit an int64, yet the decision is exact
+        assert mi_bits([[2**31, 2**31]]) == 0.0
+        assert mi_bits([[2**31, 0], [0, 2**31]]) == 1.0
+        assert mi_bits([[2**31, 2**31 - 1], [2**31 - 1, 2**31]]) > 0.0
+
+    @given(big_tables())
+    def test_decides_zero_exactly_past_isqrt_int64_max(self, table):
+        # every total here exceeds isqrt(int64 max), about 3.04e9
+        n = sum(map(sum, table))
+        assert n > math.isqrt(2**63 - 1)
+        rows = [sum(row) for row in table]
+        cols = [sum(col) for col in zip(*table)]
+        cells = [(c, r, k) for row, r in zip(table, rows) for c, k in zip(row, cols)]
+        if all(c * n == r * k for c, r, k in cells):
+            assert mi_bits(table) == 0.0
+        else:
+            # Python-int ratios, each rounded once; near-product tables cancel
+            # to second order, so the float kernel is only good to a few ulps
+            reference = math.fsum(c / n * math.log2(c * n / (r * k)) for c, r, k in cells if c)
+            assert mi_bits(table) == pytest.approx(reference, rel=1e-12, abs=1e-13)
 
 
 def keys_of_table(table):
@@ -93,3 +137,14 @@ class TestConditionalMiBits:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             conditional_mi_bits([1, 2], [1, 2], [0])
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 6)),
+            min_size=1,
+        )
+    )
+    def test_weights_match_repeated_keys_bit_for_bit(self, quads):
+        a, b, c, w = map(np.array, zip(*quads))
+        repeated = (np.repeat(k, w) for k in (a, b, c))
+        assert conditional_mi_bits(a, b, c, w) == conditional_mi_bits(*repeated)
