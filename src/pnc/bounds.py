@@ -128,7 +128,7 @@ def csiszar_ub(joint: dict) -> float:
     counts = [p.numerator * (denom // p.denominator) for p in probs]
     y, y_recv, x, x_other = np.asarray(list(joint)).T
     keep = conditional_mi_bits(x, y_recv, x_other, counts)
-    leak = mi_bits(joint_counts(y, x, counts)[0])
+    leak = mi_bits(joint_counts(y, x, counts))
     return max(keep - leak, 0.0)
 
 

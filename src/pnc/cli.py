@@ -9,6 +9,7 @@ needs), 3 infeasible parameters.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -282,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     mode, ignored = _ignored_flags(args)

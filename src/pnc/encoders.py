@@ -10,9 +10,9 @@ Two schemes are implemented on top of the rank bit labeling of
   floor(guaranteed entropy of the peer's next symbol) ahead of time and
   keys the number of secret trailing bits off that.
 
-The auditor enumerates the exact joint distribution of the relay's
-observation and the secret content and reports mutual informations and
-posterior tables.  It reports measured values; in particular the
+The auditor counts the exact joint distribution of the relay's observation
+and the secret content on rank intervals and reports mutual informations
+and posterior tables.  It reports measured values; in particular the
 variable-length semantic metric I(Y; (K, S)) is not assumed to be zero.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import Side, guaranteed_entropy_pam, ub_nocoop, ub_pam
 from .constellation import PamConstellation, _validate_orders, make_pam
-from .info import joint_counts, mi_bits
+from .info import mi_bits
 
 __all__ = [
     "SecrecyPartition",
@@ -267,9 +267,9 @@ class LeakageReport:
     semantic_mi is I(Y; (K, S)) with K the per-symbol secret-bit count and
     S the secret string.  The flat_* fields restrict to flat-region
     observations |y| <= M_B - M_A.  suffix_counts[j-1] and semantic_counts
-    are the (table, y values, secret keys) triples of
-    :func:`pnc.info.joint_counts` behind those figures; the posterior tables,
-    keyed by observation, are computed from them on access.
+    are the (table, y values, secret keys) triples behind those figures, one
+    row per reachable y and one column per occurring key, both ascending;
+    the posterior tables, keyed by observation, are computed from them on access.
     """
 
     scheme: str
@@ -309,46 +309,47 @@ def _posterior(counts: tuple, decode) -> dict:
 
 
 def audit_leakage(scheme: str, M_A: int, M_B: int) -> LeakageReport:
-    """Exact enumeration of what the relay's observation reveals.
+    """Exact joint counts of what the relay's observation reveals.
 
-    Enumerates all M_A * M_B equiprobable symbol pairs as rank arrays and
-    tabulates the joint counts of the observation y = x_A + x_B with (a)
-    every label suffix of the secret-carrying symbol and (b) the
-    variable-length secret content (K, S).  Mutual informations are
-    reported both unconditionally and restricted to the flat region.
+    An observation y = x_A + x_B fixes the rank sum s = i + j, and the ranks
+    of the secret-carrying symbol behind it form one interval [lo, hi].  The
+    count of a j-bit label suffix, the rank mod 2^j, is a residue count on that
+    interval, and that of the secret content (K, S) is a sum of residue counts
+    on its pieces of constant level K.  Mutual informations are reported both
+    unconditionally and restricted to the flat region.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}")
     _validate_orders(M_A, M_B)
-    m_a = M_A.bit_length() - 1
-    a, b = make_pam(M_A), make_pam(M_B)
-    shape = (M_A, M_B)
-    y = (np.array(a.points)[:, None] + np.array(b.points)).ravel()
-    if scheme == "coop":
-        # Alice's symbol carries the bits, Bob's symbol sets the count
-        rank = np.arange(M_A)[:, None]
-        level = np.array([coop_level(x, M_A, M_B) for x in b.points])
-    else:
-        side = scheme.removeprefix("nocoop_")
-        level = np.array(build_partition(M_A, M_B, side).levels)
-        rank = np.arange(level.size)
-        if side == "alice":  # Alice's symbols run down the rows
-            rank, level = rank[:, None], level[:, None]
-    rank = np.broadcast_to(rank, shape).ravel()
-    level = np.broadcast_to(level, shape).ravel()
-    flat_lim = M_B - M_A
+    own, other = (M_B, M_A) if scheme == "nocoop_bob" else (M_A, M_B)
+    s = np.arange(M_A + M_B - 1)
+    ys = 2 * s - (M_A + M_B - 2)
+    lo, hi = np.maximum(s - other + 1, 0), np.minimum(s, own - 1)
 
-    def audit(secret_keys):
-        counts = joint_counts(y, secret_keys)
-        table, ys, _ = counts
-        return counts, mi_bits(table), mi_bits(table[np.abs(ys) <= flat_lim])
+    def residues(lo, hi, k):
+        # per row, how many ranks in [lo, hi] are c mod 2^k, for each c; 0 if empty
+        c = np.arange(1 << k)
+        return np.maximum(((hi[:, None] - c) >> k) - ((lo[:, None] - 1 - c) >> k), 0)
+
+    def audit(table, keys):
+        return (table, ys, keys), mi_bits(table), mi_bits(table[np.abs(ys) <= M_B - M_A])
 
     suffix_counts, suffix_mi, flat_suffix_mi = zip(
-        *(audit(rank & ((1 << j) - 1)) for j in range(1, m_a + 1))
+        *(audit(residues(lo, hi, j), np.arange(1 << j)) for j in range(1, M_A.bit_length()))
     )
-    # (K, S) as the single integer key (1 << K) | S
-    lead = 1 << level
-    semantic_counts, semantic_mi, flat_semantic_mi = audit(lead | (rank & (lead - 1)))
+    if scheme == "coop":  # Bob's symbol sets the count: his rank s - r lies in a run [a, b]
+        level = np.array([coop_level(x, M_A, M_B) for x in make_pam(M_B).points])
+    else:
+        level = np.array(build_partition(M_A, M_B, scheme.removeprefix("nocoop_")).levels)
+    # (K, S) as the single integer key (1 << K) | S, counted in column key; the
+    # levels run from 0 up with no gap, so every key below 2 << max(K) occurs
+    keys = np.arange(2 << level.max())
+    table = np.zeros((s.size, keys.size), dtype=np.int64)
+    ends = np.flatnonzero(np.diff(level, append=-1))  # the last rank of each run
+    for a, b, k in zip(np.r_[0, ends[:-1] + 1], ends, level[ends]):
+        first, last = (s - b, s - a) if scheme == "coop" else (a, b)
+        table[:, 1 << k : 2 << k] += residues(np.maximum(lo, first), np.minimum(hi, last), k)
+    semantic_counts, semantic_mi, flat_semantic_mi = audit(table[:, 1:], keys[1:])
     return LeakageReport(
         scheme=scheme,
         suffix_mi=suffix_mi,

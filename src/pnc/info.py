@@ -15,14 +15,14 @@ import numpy as np
 __all__ = ["joint_counts", "mi_bits", "conditional_mi_bits"]
 
 
-def joint_counts(a_keys, b_keys, weights=1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def joint_counts(a_keys, b_keys, weights=1) -> np.ndarray:
     """Contingency table of two aligned integer key arrays.
 
-    Returns (table, a_values, b_values): table[i, j] sums, in int64, the
-    integer weights of the positions where a_keys == a_values[i] and
-    b_keys == b_values[j].  Only values that occur get a row or a column
-    (an all-zero one if all their weights are 0), so the table's size
-    follows the data, not the range of the keys.
+    table[i, j] sums, in int64, the integer weights of the positions where
+    a_keys holds its i-th smallest distinct value and b_keys its j-th.  Only
+    values that occur get a row or a column (an all-zero one if all their
+    weights are 0), so the table's size follows the data, not the range of
+    the keys.
     """
     a_keys = np.asarray(a_keys).ravel()
     b_keys = np.asarray(b_keys).ravel()
@@ -33,7 +33,7 @@ def joint_counts(a_keys, b_keys, weights=1) -> tuple[np.ndarray, np.ndarray, np.
     shape = (a_values.size, b_values.size)
     flat = np.zeros(shape[0] * shape[1], dtype=np.int64)
     np.add.at(flat, a_idx * shape[1] + b_idx, weights)
-    return flat.reshape(shape), a_values, b_values
+    return flat.reshape(shape)
 
 
 def mi_bits(table) -> float:
@@ -79,6 +79,6 @@ def conditional_mi_bits(a_keys, b_keys, given, weights=1) -> float:
     total = 0.0
     for c in np.unique(given):
         in_slice = given == c
-        table, _, _ = joint_counts(a_keys[in_slice], b_keys[in_slice], weights[in_slice])
+        table = joint_counts(a_keys[in_slice], b_keys[in_slice], weights[in_slice])
         total += int(table.sum()) * mi_bits(table)
     return total / n

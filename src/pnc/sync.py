@@ -166,7 +166,7 @@ def ub_with_sync(M_A: int, M_B: int, p: SyncParams) -> float:
     i_ray = mi_bits(_relay_counts(M_A, M_B, y_forms))
     i = np.arange(M_A)[:, None]
     u = _key(u_forms, (i, i.T - i))
-    i_receiver = mi_bits(joint_counts(u, np.broadcast_to(i, u.shape))[0])
+    i_receiver = mi_bits(joint_counts(u, np.broadcast_to(i, u.shape)))
     return max(i_receiver - i_ray, 0.0)
 
 

@@ -2,8 +2,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from audit_oracle import reference_audit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnc.constellation import make_pam
 from pnc.encoders import SCHEMES, audit_leakage, build_partition, coop_level
@@ -128,6 +131,28 @@ class TestAgainstReference:
                 assert g == pytest.approx(w, rel=1e-12, abs=0), name
         assert r.suffix_posteriors == ref.suffix_posteriors
         assert r.semantic_posteriors == ref.semantic_posteriors
+
+    @settings(max_examples=12, deadline=None)  # the oracle takes about 1 s at 64/512
+    @given(st.sampled_from(SCHEMES), st.integers(1, 6), st.sampled_from((2, 4, 8)))
+    def test_matches_reference_up_to_64(self, scheme, m_a, ratio):
+        self.test_matches_reference(scheme, 1 << m_a, ratio << m_a)
+
+
+class TestCountTables:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize(
+        "M_A,M_B", [(ma, k * ma) for ma in (2, 4, 8, 16, 32, 64, 128, 256) for k in (2, 4, 8, 16)]
+    )
+    def test_rows_are_reachable_y_and_columns_occurring_keys(self, scheme, M_A, M_B):
+        # the contract of a contingency table over the observed pairs
+        r = audit_leakage(scheme, M_A, M_B)
+        reachable = sorted({xa + xb for xa in make_pam(M_A).points for xb in make_pam(M_B).points})
+        for table, ys, keys in (*r.suffix_counts, r.semantic_counts):
+            assert ys.tolist() == reachable
+            assert table.shape == (ys.size, keys.size)
+            assert np.all(np.diff(keys) > 0)
+            assert table.any(axis=0).all()  # no all-zero column
+            assert table.sum() == M_A * M_B
 
 
 class TestValidation:

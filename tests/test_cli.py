@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -89,13 +90,13 @@ class TestEncode:
 
     @pytest.mark.parametrize("flag", ["--public", "--secret"])
     @pytest.mark.parametrize("bits", ["0012", "1x", " 01"])
-    def test_non_binary_bits_exit_2(self, flag, bits, capsys):
-        code, out, _ = invoke(
+    def test_non_binary_bits_exit_2(self, flag, bits):
+        code, out, err = invoke(
             ["encode", "--ma", "4", "--mb", "16", "--scheme", "nocoop", flag, bits]
         )
         assert code == EXIT_USAGE
         assert out == ""
-        assert flag in capsys.readouterr().err
+        assert flag in err
 
     def test_coop_requires_levels(self):
         code, out, err = invoke(
@@ -105,8 +106,8 @@ class TestEncode:
         assert out == ""
         assert "--levels" in err
 
-    def test_malformed_levels_exit_2(self, capsys):
-        code, out, _ = invoke(
+    def test_malformed_levels_exit_2(self):
+        code, out, err = invoke(
             [
                 "encode", "--ma", "4", "--mb", "16", "--scheme", "coop",
                 "--levels", "a,b", "--public", "01",
@@ -114,7 +115,7 @@ class TestEncode:
         )
         assert code == EXIT_USAGE
         assert out == ""
-        assert "--levels" in capsys.readouterr().err  # argparse reports to sys.stderr
+        assert "--levels" in err
 
 
 class TestProfile:
@@ -151,6 +152,28 @@ class TestAudit:
         assert report["flat_suffix_mi"] == [0.0, 0.0]
         assert report["semantic_mi"] == pytest.approx(1.1014097655573916)
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("64 256 nocoop --side alice", "fae17216223ae0c121dcd86ec683f0928878e276d32fa46f8a7216b6a38b8e97"),
+            ("64 256 nocoop --side bob", "e0a048a5e2dd7e33463c84be514235c2758db4fc868a73106c22adf08b82cd4d"),
+            ("64 256 coop", "1300cf3c35dfa9c795a8f804a54c3f00a32950ecd2c7534884ff460ca485f7c2"),
+            ("128 512 nocoop --side alice", "378fc175c3b8c79aef6dac33fe79e3eb2b653e27eaa51da4777f5ea2c409f31b"),
+            ("128 512 nocoop --side bob", "8fcdc87a5d3dcc1764736f762e5a5a894ef22b2054a196114296c25f3671f4d8"),
+            ("128 512 coop", "968471b1046a807f2a7ba57de43de58e60146629b1d53d61e87fad0b0d08f4c2"),
+            ("256 1024 nocoop --side alice", "1eae198195409b26a6d18c20aa7c5fabf5953bed76fef071afd3e3569de52b87"),
+            ("256 1024 nocoop --side bob", "daf2d1505214c8ba240f82f93a35c524c1af0f2acb8ae794beaf546696748222"),
+            ("256 1024 coop", "f7440b06db936d950a6ddae6f3ae72608bb24a2c41de73cd88a8859f27145517"),
+        ],
+    )
+    def test_report_bytes_are_pinned(self, argv, digest):
+        # exact counts of one joint distribution give the same report bytes
+        # however they are counted
+        ma, mb, *scheme = argv.split()
+        code, out, err = invoke(["audit", "--ma", ma, "--mb", mb, "--scheme", *scheme])
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSyncSweep:
     def test_grid_csv(self):
@@ -170,11 +193,11 @@ class TestSyncSweep:
         assert code == EXIT_INFEASIBLE
 
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "x"])
-    def test_non_positive_step_exit_2(self, step, capsys):
-        code, out, _ = invoke(["sync-sweep", "--ma", "4", "--mb", "16", "--step", step])
+    def test_non_positive_step_exit_2(self, step):
+        code, out, err = invoke(["sync-sweep", "--ma", "4", "--mb", "16", "--step", step])
         assert code == EXIT_USAGE
         assert out == ""
-        assert "--step" in capsys.readouterr().err
+        assert "--step" in err
 
 
 class TestMimo:
@@ -206,18 +229,18 @@ class TestMimo:
         _, opt, _ = invoke(argv + ["--method", "opt"])
         assert opt == zf
 
-    def test_malformed_snr_exit_2(self, capsys):
-        code, out, _ = invoke(["mimo", "--m", "3", "--n", "2", "--snr-db", "x"])
+    def test_malformed_snr_exit_2(self):
+        code, out, err = invoke(["mimo", "--m", "3", "--n", "2", "--snr-db", "x"])
         assert code == EXIT_USAGE
         assert out == ""
-        assert "--snr-db" in capsys.readouterr().err
+        assert "--snr-db" in err
 
     @pytest.mark.parametrize("trials", ["0", "-3", "1.5"])
-    def test_non_positive_trials_exit_2(self, trials, capsys):
-        code, out, _ = invoke(["mimo", "--m", "3", "--n", "2", "--trials", trials])
+    def test_non_positive_trials_exit_2(self, trials):
+        code, out, err = invoke(["mimo", "--m", "3", "--n", "2", "--trials", trials])
         assert code == EXIT_USAGE
         assert out == ""
-        assert "--trials" in capsys.readouterr().err
+        assert "--trials" in err
 
     @pytest.mark.parametrize(
         "flag,argv",
@@ -227,11 +250,11 @@ class TestMimo:
             ("--n", ["--m", "3", "--n", "0", "--trials", "3"]),
         ],
     )
-    def test_non_positive_antennas_exit_2(self, flag, argv, capsys):
-        code, out, _ = invoke(["mimo", *argv])
+    def test_non_positive_antennas_exit_2(self, flag, argv):
+        code, out, err = invoke(["mimo", *argv])
         assert code == EXIT_USAGE
         assert out == ""
-        assert f"argument {flag}" in capsys.readouterr().err
+        assert f"argument {flag}" in err
 
     def test_infeasible_geometry_exit_3(self):
         code, _, _ = invoke(["mimo", "--m", "5", "--n", "2", "--trials", "2"])
@@ -292,15 +315,33 @@ class TestFigure:
         # 4 geometries x 2 methods x 5 SNR points
         assert len(lines) == 41
 
-    def test_cap_approx_zero_trials_exit_2(self, capsys):
-        code, out, _ = invoke(["figure", "cap_approx", "--trials", "0"])
+    def test_cap_approx_zero_trials_exit_2(self):
+        code, out, err = invoke(["figure", "cap_approx", "--trials", "0"])
         assert code == EXIT_USAGE
         assert out == ""
-        assert "--trials" in capsys.readouterr().err
+        assert "--trials" in err
 
     def test_unknown_figure_exit_2(self):
         code, _, _ = invoke(["figure", "nonexistent"])
         assert code == EXIT_USAGE
+
+
+class TestStreams:
+    """Usage errors and help go to run's own streams, not to sys.stdout or sys.stderr."""
+
+    def test_usage_error_goes_to_err(self, capsys):
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["figure", "nope"], out, err) == EXIT_USAGE
+        assert "invalid choice: 'nope'" in err.getvalue()
+        assert out.getvalue() == ""
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_goes_to_out(self, capsys):
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["--help"], out, err) == EXIT_OK
+        assert out.getvalue().startswith("usage: pnc ")
+        assert err.getvalue() == ""
+        assert capsys.readouterr() == ("", "")
 
 
 

@@ -29,20 +29,18 @@ def big_tables(draw):
 
 class TestJointCounts:
     def test_counts_occurring_values_only(self):
-        table, a_values, b_values = joint_counts([10**12, -3, -3, 10**12], [7, 7, 0, 7])
-        assert a_values.tolist() == [-3, 10**12]
-        assert b_values.tolist() == [0, 7]
+        # rows -3, 10**12 and columns 0, 7: the occurring values, ascending
+        table = joint_counts([10**12, -3, -3, 10**12], [7, 7, 0, 7])
         assert table.dtype == np.int64
         assert table.tolist() == [[1, 1], [0, 2]]
 
     @given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-(2**40), 2**40)), min_size=1))
     def test_matches_pair_counter(self, pairs):
         a, b = zip(*pairs)
-        table, a_values, b_values = joint_counts(a, b)
-        assert a_values.tolist() == sorted(set(a))
-        assert b_values.tolist() == sorted(set(b))
         counts = Counter(pairs)
-        assert table.tolist() == [[counts[(u, v)] for v in b_values.tolist()] for u in a_values.tolist()]
+        assert joint_counts(a, b).tolist() == [
+            [counts[(u, v)] for v in sorted(set(b))] for u in sorted(set(a))
+        ]
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -51,13 +49,12 @@ class TestJointCounts:
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 20)), min_size=1))
     def test_weights_count_repeated_keys(self, triples):
         a, b, w = map(np.array, zip(*triples))
-        table, a_values, b_values = joint_counts(a, b, w)
-        rep_table, rep_a, rep_b = joint_counts(np.repeat(a, w), np.repeat(b, w))
+        table = joint_counts(a, b, w)
+        rep_table = joint_counts(np.repeat(a, w), np.repeat(b, w))
         # a value that occurs only with weight 0 keeps an all-zero row or column
         rows, cols = table.any(axis=1), table.any(axis=0)
         assert table[rows][:, cols].tolist() == rep_table.tolist()
-        assert a_values[rows].tolist() == rep_a.tolist()
-        assert b_values[cols].tolist() == rep_b.tolist()
+        assert table.shape == (len(set(a.tolist())), len(set(b.tolist())))
         assert table.sum() == w.sum()
 
 
@@ -125,7 +122,7 @@ class TestConditionalMiBits:
     def test_xor_is_one_bit_given_the_key(self):
         x, z = (k.ravel() for k in np.indices((2, 2)))
         y = x ^ z
-        assert mi_bits(joint_counts(x, y)[0]) == 0.0
+        assert mi_bits(joint_counts(x, y)) == 0.0
         assert conditional_mi_bits(x, y, z) == 1.0
 
     def test_slices_weighted_by_size(self):
