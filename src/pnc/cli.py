@@ -67,15 +67,16 @@ def _cmd_profile(args, out):
 def _cmd_bounds(args, out):
     _validate_orders(args.ma, args.mb)
     b = bounds_mod.compute_bounds(args.ma, args.mb)
-    gap_a, gap_b, gap_a_coop = enc_mod.gaps(args.ma, args.mb)
     r_a, r_b = enc_mod.rate_nocoop(args.ma, args.mb)
+    r_coop = enc_mod.rate_coop(args.ma, args.mb)
+    gap_a, gap_b, gap_a_coop = enc_mod.gaps(b, r_a, r_b, r_coop)
     report = {
         "ub_shared": b.ub_shared,
         "ub_alice_nocoop": b.ub_alice_nocoop,
         "ub_bob_nocoop": b.ub_bob_nocoop,
         "rate_alice_nocoop": r_a,
         "rate_bob_nocoop": r_b,
-        "rate_alice_coop": enc_mod.rate_coop(args.ma, args.mb),
+        "rate_alice_coop": r_coop,
         "gap_alice": gap_a,
         "gap_bob": gap_b,
         "gap_alice_coop": gap_a_coop,
@@ -128,13 +129,9 @@ def _cmd_mimo(args, out):
             payload["precoder_space_dim"] = mimo_mod.precoder_space_dim(args.m, args.n)
         out.write(json.dumps(payload) + "\n")
         return
-    d = 2 * args.n - args.m
-    if d < 1:
-        raise ValueError(f"no interference-free dimensions for (M, N) = ({args.m}, {args.n})")
     method = {"zf": "zf", "opt": "optimized"}[args.method]
-    result = mimo_mod.ergodic_capacity_mc(
-        args.m, args.n, d, [10 ** (db / 10) for db in args.snr_db], args.trials, args.seed, method
-    )
+    snrs = [10 ** (db / 10) for db in args.snr_db]
+    result = mimo_mod.ergodic_capacity_mc(args.m, args.n, snrs, args.trials, args.seed, method)
     rows = [(db, mean) for db, (_, mean) in zip(args.snr_db, result)]
     _write_csv(rows, ("snr_db", "mean_capacity_bits"), args.csv, out)
 
@@ -149,17 +146,17 @@ def _figure_rows(figure: str, trials: int, seed: int):
         for ma in (4, 8, 16, 32, 64):
             mb = 2 * ma
             while mb <= 256:
-                gap_a, gap_b, gap_a_coop = enc_mod.gaps(ma, mb)
-                rows.append((ma, mb, gap_a, gap_b, gap_a_coop))
+                b = bounds_mod.compute_bounds(ma, mb)
+                rates = (*enc_mod.rate_nocoop(ma, mb), enc_mod.rate_coop(ma, mb))
+                rows.append((ma, mb, *enc_mod.gaps(b, *rates)))
                 mb *= 2
         return ("ma", "mb", "gap_alice", "gap_bob", "gap_alice_coop"), rows
     rows = []  # cap_approx, the last of FIGURES
     snr_db = [0.0, 5.0, 10.0, 15.0, 20.0]
+    snrs = [10 ** (db / 10) for db in snr_db]
     for m, n in ((2, 2), (3, 3), (3, 2), (4, 3)):
         for method in ("zf", "optimized"):
-            result = mimo_mod.ergodic_capacity_mc(
-                m, n, 2 * n - m, [10 ** (db / 10) for db in snr_db], trials, seed, method
-            )
+            result = mimo_mod.ergodic_capacity_mc(m, n, snrs, trials, seed, method)
             rows.extend((m, n, method, db, mean) for db, (_, mean) in zip(snr_db, result))
     return ("m", "n", "method", "snr_db", "mean_capacity_bits"), rows
 
@@ -174,12 +171,10 @@ def _checked(convert, what, ok=lambda value: True):
 
     def parse(text: str):
         try:
-            value = convert(text)
-        except ValueError:
-            pass
-        else:
-            if ok(value):
+            if ok(value := convert(text)):
                 return value
+        except (ValueError, OverflowError):
+            pass
         raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
 
     return parse
@@ -216,6 +211,12 @@ def _ignored_flags(args) -> tuple[str, tuple[str, ...]]:
 _POSITIVE_INT = _checked(int, "an int > 0", lambda v: v > 0)
 _POSITIVE_FLOAT = _checked(float, "a float > 0", lambda v: v > 0)  # nan is not
 _BITS = _checked(str, "a 0/1 string", lambda text: not text.strip("01"))
+# each 10^(dB/10) must be a float > 0: nan, ±inf, above 3082 dB or below -3233 dB is not
+_SNR_DB = _checked(
+    _list_of(float),
+    "dB values with a finite SNR > 0",
+    lambda dbs: all(0 < 10 ** (db / 10) < math.inf for db in dbs),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_POSITIVE_INT, required=True, help="relay antennas M")
     p.add_argument("--n", type=_POSITIVE_INT, required=True, help="user antennas N")
     p.add_argument("--dim", action="store_true", help="print dof and manifold dimension")
-    p.add_argument("--snr-db", type=_list_of(float), default="0,5,10,15,20", action=_Noted)
+    p.add_argument("--snr-db", type=_SNR_DB, default="0,5,10,15,20", action=_Noted)
     p.add_argument("--trials", type=_POSITIVE_INT, default=1000, action=_Noted)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, action=_Noted)
     p.add_argument("--method", choices=("zf", "opt"), default="zf", action=_Noted)

@@ -10,7 +10,7 @@ inputs are integer-valued PAM alphabets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
@@ -29,12 +29,20 @@ class PamConstellation:
 
     Point i (in increasing order) carries the big-endian binary expansion
     of i as its bit label, i.e. the label read root-to-leaf off a perfect
-    binary tree whose leaves are the points in increasing order.
+    binary tree whose leaves are the points in increasing order.  The
+    order, a power of two >= 2, fixes the points and the bits per symbol.
     """
 
     order: int
-    points: tuple[int, ...]
-    bits_per_symbol: int
+    points: tuple[int, ...] = field(init=False)
+    bits_per_symbol: int = field(init=False)
+
+    def __post_init__(self):
+        M = self.order
+        if not _is_power_of_two(M) or M < 2:
+            raise ValueError(f"PAM order must be a power of two >= 2, got {M}")
+        object.__setattr__(self, "points", tuple(range(-(M - 1), M, 2)))
+        object.__setattr__(self, "bits_per_symbol", M.bit_length() - 1)
 
     def rank(self, x: int) -> int:
         """Index of point x in increasing order; raises if x is not a point."""
@@ -78,12 +86,15 @@ class SumProfile:
     """Map from each achievable sum y to its preimage count |psi^-1(y)|.
 
     `orders` is (M_A, M_B) for a profile built by :func:`pam_sum_profile`,
-    else None.
+    else None; `total` is the sum of the counts.
     """
 
     entries: dict
-    total: int
     orders: tuple[int, int] | None = None
+    total: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "total", sum(self.entries.values()))
 
     def count(self, y) -> int:
         """Preimage count of y; a non-integer profile is keyed by Fraction.
@@ -111,10 +122,7 @@ def _is_power_of_two(n: int) -> bool:
 
 def make_pam(M: int) -> PamConstellation:
     """Canonical M-PAM alphabet with rank bit labels; M a power of two >= 2."""
-    if not _is_power_of_two(M) or M < 2:
-        raise ValueError(f"PAM order must be a power of two >= 2, got {M}")
-    points = tuple(range(-(M - 1), M, 2))
-    return PamConstellation(order=M, points=points, bits_per_symbol=M.bit_length() - 1)
+    return PamConstellation(M)
 
 
 def sum_profile(a: FiniteAlphabet, b: FiniteAlphabet) -> SumProfile:
@@ -131,16 +139,13 @@ def sum_profile(a: FiniteAlphabet, b: FiniteAlphabet) -> SumProfile:
     for xa, xb in itertools.product(a.points, b.points):
         y = read(xa) + read(xb)
         entries[y] = entries.get(y, 0) + 1
-    return SumProfile(entries=entries, total=len(a.points) * len(b.points))
+    return SumProfile(entries=entries)
 
 
 def pam_sum_profile(M_A: int, M_B: int) -> SumProfile:
     """Sum profile of an M_A-PAM and an M_B-PAM alphabet, recording the orders."""
-    profile = sum_profile(
-        FiniteAlphabet.from_pam(make_pam(M_A)),
-        FiniteAlphabet.from_pam(make_pam(M_B)),
-    )
-    return SumProfile(entries=profile.entries, total=profile.total, orders=(M_A, M_B))
+    a, b = (FiniteAlphabet.from_pam(make_pam(M)) for M in (M_A, M_B))
+    return SumProfile(entries=sum_profile(a, b).entries, orders=(M_A, M_B))
 
 
 def _validate_orders(M_A: int, M_B: int) -> None:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import Side, guaranteed_entropy_pam, ub_nocoop, ub_pam
+from .bounds import SecrecyBounds, Side, guaranteed_entropy_pam
 from .constellation import PamConstellation, _validate_orders, make_pam
 from .info import mi_bits
 
@@ -61,8 +61,8 @@ class BitQueues:
 
     public_bits: str
     secret_bits: str
-    public_cursor: int = 0
-    secret_cursor: int = 0
+    public_cursor: int = field(init=False, default=0)
+    secret_cursor: int = field(init=False, default=0)
 
     def __post_init__(self):
         for name, bits in (("public", self.public_bits), ("secret", self.secret_bits)):
@@ -241,14 +241,15 @@ def rate_coop(M_A: int, M_B: int) -> float:
     return m_a - 4 * (M_A - 1) / M_B + 2 * m_a / M_B
 
 
-def gaps(M_A: int, M_B: int) -> tuple[float, float, float]:
-    """(gap_alice, gap_bob, gap_alice_coop) between achieved rates and bounds."""
-    ub_a, ub_b = ub_nocoop(M_A, M_B)
-    r_a, r_b = rate_nocoop(M_A, M_B)
+def gaps(b: SecrecyBounds, r_a: float, r_b: float, r_coop: float) -> tuple[float, float, float]:
+    """(gap_alice, gap_bob, gap_alice_coop): each rate's distance to its bound in `b`.
+
+    r_a, r_b and r_coop are :func:`rate_nocoop` and :func:`rate_coop` at b's orders.
+    """
     return (
-        abs(ub_a - r_a),
-        abs(ub_b - r_b),
-        abs(ub_pam(M_A, M_B) - rate_coop(M_A, M_B)),
+        abs(b.ub_alice_nocoop - r_a),
+        abs(b.ub_bob_nocoop - r_b),
+        abs(b.ub_shared - r_coop),
     )
 
 

@@ -47,7 +47,10 @@ def mi_bits(table) -> float:
     this test exceeds a row sum, so it is exact for any total that fits an
     int64; zero rows and columns, and an empty table, need no special case.
     A dependent table's value takes its products in float64, which rounds
-    products of integers below 2**53 correctly.
+    products of integers below 2**53 correctly.  A nearly independent table
+    with a total above about 1e7 reads rounding noise, since its terms are
+    first order in the deviation and the value second order: it can read
+    <= 0 (the zero decision stays exact).
     """
     t = np.asarray(table, dtype=np.int64)
     rows, cols = t.sum(axis=1), t.sum(axis=0)

@@ -49,13 +49,14 @@ _RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PrecoderProblem:
-    """Channel pair plus power/noise figures for one precoding instance."""
+    """Channel pair of one precoding instance and its SNR, finite and > 0.
+
+    Both users share one power cap, so power and noise enter only through `snr`.
+    """
 
     H_A: np.ndarray
     H_B: np.ndarray
-    p_a: float = 1.0
-    p_b: float = 1.0
-    sigma_sq: float = 1.0
+    snr: float = 2.0
 
     def __post_init__(self):
         ha = np.atleast_2d(np.asarray(self.H_A, dtype=complex))
@@ -65,8 +66,8 @@ class PrecoderProblem:
         m, n = ha.shape
         if n > m:
             raise ValueError("require N <= M antennas")
-        if self.sigma_sq <= 0:
-            raise ValueError("noise variance must be positive")
+        if not 0 < self.snr < math.inf:
+            raise ValueError(f"snr must be finite and positive, got {self.snr}")
         object.__setattr__(self, "H_A", ha)
         object.__setattr__(self, "H_B", hb)
 
@@ -81,10 +82,6 @@ class PrecoderProblem:
     @property
     def d(self) -> int:
         return 2 * self.N - self.M
-
-    @property
-    def snr(self) -> float:
-        return (self.p_a + self.p_b) / self.sigma_sq
 
 
 @dataclass(frozen=True)
@@ -227,8 +224,8 @@ def capacity(H_A: np.ndarray, G_A: np.ndarray, snr: float | np.ndarray) -> float
     shape of H_A G_A), giving one capacity per instance.
     """
     snr = np.asarray(snr, dtype=float)
-    if np.any(snr <= 0):
-        raise ValueError("snr must be positive")
+    if not np.all((snr > 0) & (snr < np.inf)):  # nan fails both
+        raise ValueError("snr must be finite and positive")
     hg = np.asarray(H_A, dtype=complex) @ np.asarray(G_A, dtype=complex)
     if not np.all(np.isfinite(hg)):
         raise ValueError("non-finite entries in effective channel")
@@ -270,7 +267,7 @@ def _waterfill(gains: np.ndarray, total: float) -> np.ndarray:
 
 
 def _solve_dual(
-    basis: np.ndarray, h_a: np.ndarray, snrs: np.ndarray, n: int, opts: OptimizeOptions
+    basis: np.ndarray, h_a: np.ndarray, snrs: np.ndarray, opts: OptimizeOptions
 ) -> tuple[np.ndarray, ...]:
     """Dual water-filling over a batch of T channels times S SNRs.
 
@@ -304,6 +301,7 @@ def _solve_dual(
     root-finding steps, the best primal and smallest dual values (bits) per
     instance, and the running best primal value after each step (steps, T·S).
     """
+    n = h_a.shape[-1]
     e_a = basis[:, :n]
     a, v = np.linalg.eigh(_herm(e_a) @ e_a)
     a = np.clip(a, 0.0, 1.0)  # P_A and I - P_A are PSD; clip rounding
@@ -395,7 +393,7 @@ def optimize_precoders(
     else:
         basis = nullspace_basis(problem.H_A, problem.H_B)
         g, steps, _, duals, primals = _solve_dual(
-            basis[None], problem.H_A[None], np.array([snr]), n, opts
+            basis[None], problem.H_A[None], np.array([snr]), opts
         )
         pair = PrecoderPair(g_a=g[0, :n], g_b=g[0, n:])
         iterations, dual = int(steps[0]), float(duals[0])
@@ -419,23 +417,17 @@ def optimize_precoders(
 
 def draw_channel_pair(M: int, N: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Channel pair with i.i.d. circularly symmetric entries of variance 1/M."""
-    scale = math.sqrt(1.0 / (2 * M))
-    ha = scale * (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N)))
-    hb = scale * (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N)))
-    return ha, hb
+    z = math.sqrt(1.0 / (2 * M)) * rng.standard_normal((4, M, N))
+    return z[0] + 1j * z[1], z[2] + 1j * z[3]
 
 
 def ergodic_capacity_mc(
-    M: int,
-    N: int,
-    d: int,
-    snr_list: list[float],
-    trials: int,
-    seed: int,
-    method: str = "zf",
+    M: int, N: int, snr_list: list[float], trials: int, seed: int, method: str = "zf"
 ) -> list[tuple[float, float]]:
     """Monte Carlo mean capacity over random channel pairs, per SNR.
 
+    Raises ValueError when N > M or no dimension is interference-free
+    (2N - M < 1).
     Each trial derives its own random stream from (seed, trial index), so
     results are deterministic for a fixed seed regardless of scheduling.
     Returns rows (snr, mean capacity in bits).  The trials are stacked and
@@ -445,12 +437,15 @@ def ergodic_capacity_mc(
     `OptimizeOptions()` and ZF's nullspace basis; like that function it
     keeps the better of that pair and ZF per instance.
     """
+    d = 2 * N - M
+    if d < 1:
+        raise ValueError(f"no interference-free dimensions for (M, N) = ({M}, {N})")
+    if N > M:
+        raise ValueError("require N <= M antennas")
     if method not in ("zf", "optimized"):
         raise ValueError("method must be 'zf' or 'optimized'")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if d != 2 * N - M or d < 1:
-        raise ValueError("require d = 2N - M >= 1")
     channels = [draw_channel_pair(M, N, np.random.default_rng([seed, t])) for t in range(trials)]
     h_a, h_b = (np.stack(h) for h in zip(*channels))
     optimized = method == "optimized" and d > 1  # for d = 1 ZF is already optimal
@@ -459,7 +454,7 @@ def ergodic_capacity_mc(
     # ZF is independent of the SNR: one precoder per trial, one capacity per trial x SNR
     caps = capacity(h_a[:, None], _zf(h_a, h_b, basis)[0][:, None], snrs)
     if optimized:
-        g = _solve_dual(basis, h_a, snrs, N, OptimizeOptions())[0]
+        g = _solve_dual(basis, h_a, snrs, OptimizeOptions())[0]
         g_a = g[:, :N].reshape(trials, len(snrs), N, d)
         caps = np.maximum(caps, capacity(h_a[:, None], g_a, snrs))
     # running sums in trial order, as a per-trial loop would add them

@@ -1,8 +1,9 @@
 """Reference leakage auditor: a per-pair dict loop with Fraction posteriors.
 
-This is the straightforward enumeration that :func:`pnc.encoders.audit_leakage`
-vectorizes.  Tests compare the two: exact zeros must sit in the same
-places, other figures agree to float rounding, posteriors are equal.
+It enumerates every symbol pair, whereas :func:`pnc.encoders.audit_leakage`
+counts residues on rank intervals, so the two share no counting.  Tests
+compare the two: exact zeros must sit in the same places, other figures
+agree to float rounding, posteriors are equal.
 """
 
 import math

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from pnc.bounds import (
+    compute_bounds,
     guaranteed_entropy,
     guaranteed_entropy_pam,
     ub_generic,
@@ -129,7 +130,8 @@ def test_criterion_5_rate_formulas_and_stream_simulation():
 def test_criterion_6_gap_thresholds():
     ok = True
     for M_A, M_B in GRID:
-        d_a, d_b, d_ac = gaps(M_A, M_B)
+        bounds = compute_bounds(M_A, M_B)
+        d_a, d_b, d_ac = gaps(bounds, *rate_nocoop(M_A, M_B), rate_coop(M_A, M_B))
         ok = ok and d_a < 0.7 and d_b < 0.7
         if M_B >= 4 * M_A:
             ok = ok and d_b < 0.35
@@ -180,7 +182,7 @@ def test_criterion_9_mimo_feasibility_and_ascent():
         for t in range(100):
             rng = np.random.default_rng([2026, M, N, t])
             ha, hb = draw_channel_pair(M, N, rng)
-            prob = PrecoderProblem(H_A=ha, H_B=hb, p_a=snr / 2, p_b=snr / 2)
+            prob = PrecoderProblem(H_A=ha, H_B=hb, snr=snr)
             pair = zf_precoders(prob)
             ok = ok and pair.alignment_residual(ha, hb) <= 1e-10
             pa, pb = pair.powers()
@@ -226,8 +228,8 @@ def test_criterion_10_determinism_and_capacity_ordering():
     ok = ok and out1.getvalue() == out2.getvalue()
     snr = [10 ** (10 / 10)]  # 10 dB, a moderate operating point
     trials = 1000
-    zf_43 = ergodic_capacity_mc(4, 3, 2, snr, trials, seed=77, method="zf")[0][1]
-    opt_43 = ergodic_capacity_mc(4, 3, 2, snr, trials, seed=77, method="optimized")[0][1]
-    zf_33 = ergodic_capacity_mc(3, 3, 3, snr, trials, seed=77, method="zf")[0][1]
+    zf_43 = ergodic_capacity_mc(4, 3, snr, trials, seed=77, method="zf")[0][1]
+    opt_43 = ergodic_capacity_mc(4, 3, snr, trials, seed=77, method="optimized")[0][1]
+    zf_33 = ergodic_capacity_mc(3, 3, snr, trials, seed=77, method="zf")[0][1]
     ok = ok and opt_43 >= zf_43 and opt_43 >= zf_33
     report(10, ok, "seeded runs byte-identical; optimized (4,3) beats both ZF baselines")

@@ -230,10 +230,12 @@ class TestMimo:
         assert opt == zf
 
     def test_malformed_snr_exit_2(self):
-        code, out, err = invoke(["mimo", "--m", "3", "--n", "2", "--snr-db", "x"])
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "--snr-db" in err
+        # 3100 dB overflows a float and -4000 dB rounds to a linear SNR of 0
+        for snr_db in ("x", "nan", "inf", "0,-inf", "0,nan", "3100", "-4000"):
+            code, out, err = invoke(["mimo", "--m", "3", "--n", "2", "--snr-db", snr_db])
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "--snr-db" in err
 
     @pytest.mark.parametrize("trials", ["0", "-3", "1.5"])
     def test_non_positive_trials_exit_2(self, trials):
@@ -257,8 +259,12 @@ class TestMimo:
         assert f"argument {flag}" in err
 
     def test_infeasible_geometry_exit_3(self):
-        code, _, _ = invoke(["mimo", "--m", "5", "--n", "2", "--trials", "2"])
-        assert code == EXIT_INFEASIBLE
+        for m, n in ((5, 2), (4, 1)):
+            code, out, err = invoke(["mimo", "--m", str(m), "--n", str(n), "--trials", "2"])
+            assert (code, out) == (EXIT_INFEASIBLE, "")
+            assert err == f"error: no interference-free dimensions for (M, N) = ({m}, {n})\n"
+        code, out, err = invoke(["mimo", "--m", "2", "--n", "3", "--trials", "2"])
+        assert (code, out, err) == (EXIT_INFEASIBLE, "", "error: require N <= M antennas\n")
 
     # Reference bytes.  The 3x3 seed-342 mean at 15 dB sits next to a rounding
     # boundary: it moves in its last printed digit if the ZF power norm sums in

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from pnc.constellation import (
     FiniteAlphabet,
+    PamConstellation,
+    SumProfile,
     make_pam,
     pam_sum_profile,
     preimage_count_pam,
@@ -50,6 +52,21 @@ class TestMakePam:
     def test_rejects_non_power_of_two(self, bad):
         with pytest.raises(ValueError):
             make_pam(bad)
+        with pytest.raises(ValueError, match="power of two"):
+            PamConstellation(bad)
+
+    @given(st.integers(1, 12))
+    def test_points_and_bits_follow_the_order(self, k):
+        M = 2**k
+        pam = PamConstellation(M)
+        assert pam.points == tuple(range(-(M - 1), M, 2))
+        assert pam.bits_per_symbol == k
+        assert make_pam(M) == pam
+
+    @pytest.mark.parametrize("derived", [{"points": (-1, 1)}, {"bits_per_symbol": 1}])
+    def test_derived_fields_cannot_be_set(self, derived):
+        with pytest.raises(TypeError):
+            PamConstellation(2, **derived)
 
     @given(st.data())
     def test_membership_rule_matches_point_tuple(self, data):
@@ -96,6 +113,11 @@ class TestSumProfile:
         assert p.total == M_A * M_B
         for y in p.support():
             assert p.count(y) == p.count(-y)
+
+    def test_total_is_derived(self):
+        assert SumProfile(entries={0: 2, 2: 3}).total == 5
+        with pytest.raises(TypeError):
+            SumProfile(entries={0: 2}, total=2)
 
     def test_real_alphabet_sums_exactly(self):
         # as floats, 0.1 + 0.2 != 0.0 + 0.3; as shortest decimals they agree

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnc.bounds import guaranteed_entropy_pam, ub_pam, ub_nocoop
+from pnc.bounds import compute_bounds, guaranteed_entropy_pam, ub_pam, ub_nocoop
 from pnc.constellation import make_pam
 from pnc.encoders import (
     BitQueues,
@@ -130,6 +130,13 @@ class TestTreeEncoder:
         part = build_partition(4, 16, "bob")
         q = BitQueues("0000", "0000")
         assert encode_stream(q, part, count=1) == [-15]
+
+    @pytest.mark.parametrize("cursor", ["public_cursor", "secret_cursor"])
+    def test_cursors_cannot_be_set(self, cursor):
+        with pytest.raises(TypeError):
+            BitQueues("0", "1", **{cursor: 1})
+        q = BitQueues("0", "1")
+        assert (q.public_cursor, q.secret_cursor) == (0, 0)
 
     def test_underflow_reports_symbol_index(self):
         part = build_partition(4, 16, "bob")
@@ -355,7 +362,8 @@ class TestRates:
 class TestGaps:
     @pytest.mark.parametrize("M_A,M_B", GRID)
     def test_thresholds(self, M_A, M_B):
-        d_a, d_b, d_a_coop = gaps(M_A, M_B)
+        bounds = compute_bounds(M_A, M_B)
+        d_a, d_b, d_a_coop = gaps(bounds, *rate_nocoop(M_A, M_B), rate_coop(M_A, M_B))
         assert d_a < 0.7
         assert d_b < 0.7
         if M_B >= 4 * M_A:
@@ -366,9 +374,9 @@ class TestGaps:
             assert d_a_coop < 0.5
 
     def test_definition(self):
-        d_a, d_b, d_a_coop = gaps(4, 16)
         ub_a, ub_b = ub_nocoop(4, 16)
         r_a, r_b = rate_nocoop(4, 16)
+        d_a, d_b, d_a_coop = gaps(compute_bounds(4, 16), r_a, r_b, rate_coop(4, 16))
         assert d_a == abs(ub_a - r_a)
         assert d_b == abs(ub_b - r_b)
         assert d_a_coop == abs(ub_pam(4, 16) - rate_coop(4, 16))

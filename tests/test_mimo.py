@@ -27,7 +27,7 @@ SNRS = np.array([10 ** (db / 10) for db in (0, 5, 10, 15, 20)])
 def seeded_problem(M, N, seed, snr=10.0):
     rng = np.random.default_rng(seed)
     ha, hb = draw_channel_pair(M, N, rng)
-    return PrecoderProblem(H_A=ha, H_B=hb, p_a=snr / 2, p_b=snr / 2, sigma_sq=1.0)
+    return PrecoderProblem(H_A=ha, H_B=hb, snr=snr)
 
 
 def armijo_ascent(problem, init, max_iters=500, grad_tol=1e-8, initial_step=1.0, armijo=1e-4):
@@ -151,6 +151,21 @@ class TestNullspace:
             nullspace_basis(ha, hb)
 
 
+class TestPrecoderProblem:
+    def test_default_snr(self):
+        assert PrecoderProblem(H_A=np.eye(2), H_B=np.eye(2)).snr == 2.0
+
+    @pytest.mark.parametrize("snr", [0.0, -2.0, math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_or_non_positive_snr(self, snr):
+        with pytest.raises(ValueError, match="finite and positive"):
+            PrecoderProblem(H_A=np.eye(2), H_B=np.eye(2), snr=snr)
+
+    @pytest.mark.parametrize("name", ["p_a", "p_b", "sigma_sq"])
+    def test_no_per_user_power_or_noise(self, name):
+        with pytest.raises(TypeError):
+            PrecoderProblem(H_A=np.eye(2), H_B=np.eye(2), **{name: 1.0})
+
+
 class TestZfPrecoders:
     def test_identity_square_case(self):
         prob = PrecoderProblem(H_A=np.eye(2), H_B=np.eye(2))
@@ -209,8 +224,9 @@ class TestCapacity:
         assert all(c2 > c1 for c1, c2 in zip(caps, caps[1:]))
 
     def test_snr_validation(self):
-        with pytest.raises(ValueError):
-            capacity(np.eye(2), np.eye(2), snr=0.0)
+        for snr in (0.0, -1.0, math.nan, math.inf, [1.0, math.nan]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                capacity(np.eye(2), np.eye(2), snr=snr)
 
 
 class TestGradient:
@@ -319,7 +335,7 @@ class TestOptimize:
         channels = [draw_channel_pair(M, N, np.random.default_rng([7, t])) for t in range(40)]
         h_a, h_b = (np.stack(h) for h in zip(*channels))
         _, steps, primal, dual, _ = _solve_dual(
-            nullspace_basis(h_a, h_b), h_a, SNRS, N, OptimizeOptions()
+            nullspace_basis(h_a, h_b), h_a, SNRS, OptimizeOptions()
         )
         assert np.all(dual - primal <= 1e-10)
         assert steps.mean() <= 10
@@ -330,7 +346,7 @@ class TestOptimize:
         # slack at the optimum (theta = 0 or 1), where capacity = d·log2(1 + snr)
         strong, unit = np.diag([2.0, 3.0]), np.eye(2)
         h_a, h_b = (strong, unit) if slack == "A" else (unit, strong)
-        prob = PrecoderProblem(H_A=h_a, H_B=h_b, p_a=5.0, p_b=5.0)
+        prob = PrecoderProblem(H_A=h_a, H_B=h_b, snr=10.0)
         res = optimize_precoders(prob)
         assert res.iterations <= 2 and res.converged and res.dual_gap <= 1e-10
         assert res.capacity == pytest.approx(2 * math.log2(11.0), abs=1e-10)
@@ -356,22 +372,19 @@ class TestOptimize:
 
 class TestProperties:
     def test_received_power(self):
-        # with aligned precoders and unit-variance symbols the relay's mean
-        # received power is p_a + p_b
+        # unit-variance symbols sent at a per-user power of snr/2: the relay's
+        # mean received power is that power over N times the two channel gains
         rng = np.random.default_rng(71)
         prob = seeded_problem(4, 3, 72, snr=6.0)
         pair = zf_precoders(prob)
-        scale_a = np.sqrt(prob.p_a / prob.N)
-        scale_b = np.sqrt(prob.p_b / prob.N)
+        power = prob.snr / 2
         trials = 20000
         s_a = (rng.standard_normal((2, trials)) + 1j * rng.standard_normal((2, trials))) / np.sqrt(2)
         s_b = (rng.standard_normal((2, trials)) + 1j * rng.standard_normal((2, trials))) / np.sqrt(2)
-        y = scale_a * prob.H_A @ pair.g_a @ s_a + scale_b * prob.H_B @ pair.g_b @ s_b
+        y = np.sqrt(power / prob.N) * (prob.H_A @ pair.g_a @ s_a + prob.H_B @ pair.g_b @ s_b)
         measured = float(np.mean(np.sum(np.abs(y) ** 2, axis=0)))
-        expected = float(
-            prob.p_a / prob.N * np.linalg.norm(prob.H_A @ pair.g_a) ** 2
-            + prob.p_b / prob.N * np.linalg.norm(prob.H_B @ pair.g_b) ** 2
-        )
+        gains = np.linalg.norm(prob.H_A @ pair.g_a) ** 2 + np.linalg.norm(prob.H_B @ pair.g_b) ** 2
+        expected = float(power / prob.N * gains)
         assert measured == pytest.approx(expected, rel=0.05)
 
 
@@ -406,7 +419,7 @@ class TestStacked:
             assert caps[t].tolist() == [capacity(h_a[t], pair.g_a, snr) for snr in SNRS]
         precoders = [(g_a, g_b, h_a, h_b)]
         if M < 2 * N - 1:
-            g = _solve_dual(basis, h_a, SNRS, N, OptimizeOptions())[0]
+            g = _solve_dual(basis, h_a, SNRS, OptimizeOptions())[0]
             rep = (np.repeat(h, len(SNRS), axis=0) for h in (h_a, h_b))
             precoders.append((g[:, :N], g[:, N:], *rep))
         for ga, gb, ha, hb in precoders:
@@ -419,43 +432,57 @@ class TestStacked:
 
 class TestErgodicMc:
     def test_determinism(self):
-        kwargs = dict(M=3, N=2, d=1, snr_list=[1.0, 10.0], trials=5, seed=9)
+        kwargs = dict(M=3, N=2, snr_list=[1.0, 10.0], trials=5, seed=9)
         assert ergodic_capacity_mc(**kwargs) == ergodic_capacity_mc(**kwargs)
 
     def test_batch_of_one_equals_optimize_precoders(self):
         snr = 10.0
         ha, hb = draw_channel_pair(4, 3, np.random.default_rng([5, 0]))
-        prob = PrecoderProblem(H_A=ha, H_B=hb, p_a=snr / 2, p_b=snr / 2, sigma_sq=1.0)
+        prob = PrecoderProblem(H_A=ha, H_B=hb, snr=snr)
         res = optimize_precoders(prob, zf_precoders(prob))
-        assert ergodic_capacity_mc(4, 3, 2, [snr], trials=1, seed=5, method="optimized") == [
+        assert ergodic_capacity_mc(4, 3, [snr], trials=1, seed=5, method="optimized") == [
             (snr, res.capacity)
         ]
 
     @pytest.mark.parametrize("M,N", [(2, 2), (3, 3), (4, 3)])
     def test_batch_equals_per_instance_solves(self, M, N):
         snrs, trials = [1.0, 10.0, 100.0], 4
-        rows = ergodic_capacity_mc(M, N, 2 * N - M, snrs, trials, seed=6, method="optimized")
+        rows = ergodic_capacity_mc(M, N, snrs, trials, seed=6, method="optimized")
         for (snr, mean), expected in zip(rows, snrs):
             caps = []
             for t in range(trials):
                 ha, hb = draw_channel_pair(M, N, np.random.default_rng([6, t]))
-                prob = PrecoderProblem(H_A=ha, H_B=hb, p_a=snr / 2, p_b=snr / 2)
+                prob = PrecoderProblem(H_A=ha, H_B=hb, snr=snr)
                 caps.append(optimize_precoders(prob, zf_precoders(prob)).capacity)
             assert snr == expected
             assert mean == pytest.approx(sum(caps) / trials, rel=1e-12)
 
     def test_optimized_at_least_zf(self):
-        zf = ergodic_capacity_mc(4, 3, 2, [10.0], trials=10, seed=5, method="zf")
-        opt = ergodic_capacity_mc(4, 3, 2, [10.0], trials=10, seed=5, method="optimized")
+        zf = ergodic_capacity_mc(4, 3, [10.0], trials=10, seed=5, method="zf")
+        opt = ergodic_capacity_mc(4, 3, [10.0], trials=10, seed=5, method="optimized")
         assert opt[0][1] >= zf[0][1]
 
     def test_validation(self):
+        with pytest.raises(ValueError, match=r"dimensions for \(M, N\) = \(4, 1\)"):
+            ergodic_capacity_mc(4, 1, [1.0], trials=1, seed=0)
+        with pytest.raises(ValueError, match="N <= M"):
+            ergodic_capacity_mc(2, 3, [1.0], trials=1, seed=0)
         with pytest.raises(ValueError):
-            ergodic_capacity_mc(3, 2, 2, [1.0], trials=1, seed=0)
+            ergodic_capacity_mc(3, 2, [1.0], trials=0, seed=0)
         with pytest.raises(ValueError):
-            ergodic_capacity_mc(3, 2, 1, [1.0], trials=0, seed=0)
-        with pytest.raises(ValueError):
-            ergodic_capacity_mc(3, 2, 1, [1.0], trials=1, seed=0, method="exact")
+            ergodic_capacity_mc(3, 2, [1.0], trials=1, seed=0, method="exact")
+
+    @pytest.mark.parametrize("M,N", [(2, 2), (3, 2), (3, 3), (4, 3), (6, 4)])
+    def test_draw_equals_four_separate_draws(self, M, N):
+        scale = math.sqrt(1.0 / (2 * M))
+        for seed in range(20):
+            for t in range(5):
+                rng = np.random.default_rng([seed, t])
+                ha = scale * (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N)))
+                hb = scale * (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N)))
+                ga, gb = draw_channel_pair(M, N, np.random.default_rng([seed, t]))
+                np.testing.assert_array_equal(ga, ha)
+                np.testing.assert_array_equal(gb, hb)
 
     def test_channel_variance(self):
         rng = np.random.default_rng(123)
