@@ -2,8 +2,8 @@
 
 Scalar reports are emitted as JSON, data series as CSV with a header row
 and 12-significant-digit floats.  Exit codes: 0 success, 2 usage error
-(including a flag that the chosen mode ignores or a missing flag that it
-needs), 3 infeasible parameters.
+(including a flag that the chosen mode ignores, a missing flag that it
+needs, or a --csv path that cannot be opened), 3 infeasible parameters.
 """
 
 from __future__ import annotations
@@ -266,7 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_POSITIVE_INT, required=True, help="relay antennas M")
     p.add_argument("--n", type=_POSITIVE_INT, required=True, help="user antennas N")
     p.add_argument("--dim", action="store_true", help="print dof and manifold dimension")
-    p.add_argument("--snr-db", type=_SNR_DB, default="0,5,10,15,20", action=_Noted)
+    p.add_argument(
+        "--snr-db",
+        type=_SNR_DB,
+        default="0,5,10,15,20",
+        action=_Noted,
+        help="comma-separated SNRs in dB; a list that starts negative needs '=', as --snr-db=-5,0",
+    )
     p.add_argument("--trials", type=_POSITIVE_INT, default=1000, action=_Noted)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, action=_Noted)
     p.add_argument("--method", choices=("zf", "opt"), default="zf", action=_Noted)
@@ -302,6 +308,11 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     except (ValueError, enc_mod.QueueUnderflow) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
+    except OSError as exc:
+        if exc.filename is None:  # not a --csv path that failed to open
+            raise
+        err.write(f"error: cannot write {exc.filename}: {exc.strerror}\n")
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -130,12 +130,14 @@ def dof_max(M: int, N: int) -> int:
     """Interference-free transmit dimensions available to both users."""
     if M < 1 or N < 1:
         raise ValueError("antenna counts must be positive")
+    if N > M:
+        raise ValueError("require N <= M antennas")
     return max(2 * N - M, 0)
 
 
 def precoder_space_dim(M: int, N: int) -> int:
     """Real-manifold dimension of the feasible precoder space, 2(d^2 - 1)."""
-    d = 2 * N - M
+    d = dof_max(M, N)
     if d < 1:
         raise ValueError("require d = 2N - M >= 1")
     return 2 * (d * d - 1)

@@ -192,6 +192,14 @@ class TestSyncSweep:
         )
         assert code == EXIT_INFEASIBLE
 
+    def test_unopenable_csv_exit_2(self, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        argv = ["sync-sweep", "--ma", "4", "--mb", "16", "--step", "0.5", "--csv", str(path)]
+        code, out, err = invoke(argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+        assert not path.parent.exists()
+
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "x"])
     def test_non_positive_step_exit_2(self, step):
         code, out, err = invoke(["sync-sweep", "--ma", "4", "--mb", "16", "--step", step])
@@ -210,6 +218,18 @@ class TestMimo:
         code, out, _ = invoke(["mimo", "--m", "5", "--n", "2", "--dim"])
         assert code == EXIT_OK
         assert json.loads(out) == {"dof_max": 0}
+
+    def test_dim_report_rejects_n_above_m(self):
+        code, out, err = invoke(["mimo", "--m", "2", "--n", "3", "--dim"])
+        assert (code, out, err) == (EXIT_INFEASIBLE, "", "error: require N <= M antennas\n")
+
+    def test_negative_snr_list_needs_equals(self):
+        code, out, _ = invoke(["mimo", "--m", "4", "--n", "3", "--snr-db=-5,0", "--trials", "2"])
+        assert code == EXIT_OK
+        assert [line.split(",")[0] for line in out.splitlines()] == ["snr_db", "-5", "0"]
+        code, out, err = invoke(["mimo", "--m", "4", "--n", "3", "--snr-db", "-5,0", "--trials", "2"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--snr-db" in err
 
     def test_capacity_csv(self):
         argv = [

@@ -111,6 +111,11 @@ class TestDimensions:
         with pytest.raises(ValueError):
             dof_max(0, 2)
 
+    def test_more_user_than_relay_antennas_is_rejected(self):
+        for dims in (dof_max, precoder_space_dim):
+            with pytest.raises(ValueError, match="require N <= M antennas"):
+                dims(2, 3)
+
     def test_space_dim_examples(self):
         assert precoder_space_dim(3, 2) == 0
         assert precoder_space_dim(4, 3) == 6

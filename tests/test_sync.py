@@ -9,7 +9,23 @@ from hypothesis import strategies as st
 import pnc.sync
 from pnc.bounds import ub_pam
 from pnc.constellation import make_pam
-from pnc.sync import SyncParams, _classes, _sine, alpha_beta, sync_sweep, ub_with_sync
+from pnc.info import mi_bits
+from pnc.sync import (
+    _IDENTITY,
+    SyncParams,
+    _bound,
+    _box,
+    _classes,
+    _exact,
+    _forms,
+    _interval_lengths,
+    _key,
+    _relay_table,
+    _sine,
+    alpha_beta,
+    sync_sweep,
+    ub_with_sync,
+)
 
 ALIGNED_4_16 = 1.8360902344426084
 GENERIC_4_16 = 1.1534862856359638
@@ -79,6 +95,15 @@ def check_sine_classes(sin_pi, close):
 
 
 SMALL_ORDERS = [(ma, mb) for ma in (2, 4, 8) for mb in (2 * ma, 4 * ma, 8 * ma) if mb <= 32]
+GRID_05 = [_exact(Fraction(i, 20)) for i in range(21)]
+
+
+def class_kind(M_A, M_B, a, b):
+    """How the bound at offsets a, b is evaluated: in closed form or from a table of 1 or 2 forms."""
+    y_forms = _classes(M_A, M_B, a, b)
+    if y_forms == _IDENTITY and len(_forms([a])) == 2:
+        return "generic"
+    return f"{len(y_forms)}-form"
 
 
 class TestAlphaBeta:
@@ -225,16 +250,23 @@ class TestSyncSweep:
     def test_each_class_is_evaluated_once(self, monkeypatch):
         calls = []
 
-        def counted(M_A, M_B, p):
-            calls.append(p)
-            return ub_with_sync(M_A, M_B, p)
+        def counted(M_A, M_B, y_forms, u_forms, box=None):
+            calls.append((y_forms, u_forms))
+            return _bound(M_A, M_B, y_forms, u_forms, box)
 
-        monkeypatch.setattr(pnc.sync, "ub_with_sync", counted)
+        monkeypatch.setattr(pnc.sync, "_bound", counted)
         rows = sync_sweep(4, 16, grid_step=0.05)
-        grid = [Fraction(i, 20) for i in range(21)]
-        classes = {_classes(4, 16, SyncParams(da, db)) for da in grid for db in grid}
+        classes = {(_classes(4, 16, a, b), _forms([a])) for a in GRID_05 for b in GRID_05}
         assert len(rows) == 441
-        assert len(calls) == len(classes) < 100
+        assert len(calls) == len(set(calls)) == len(classes) < 100
+
+    @pytest.mark.parametrize("orders", [(4, 16), (8, 32)])
+    def test_sweep_matches_float_formula(self, orders):
+        kinds = {class_kind(*orders, a, b) for a in GRID_05 for b in GRID_05}
+        assert kinds == {"generic", "1-form", "2-form"}
+        for da, db, ub in sync_sweep(*orders, grid_step=0.05):
+            oracle = float_ub_with_sync(*orders, SyncParams(da, db))
+            assert ub == pytest.approx(oracle, abs=1e-12)
 
     def test_full_offset_at_alice_is_exactly_zero(self):
         # at delta_a = 1 both U and Y carry only the previous symbol of Alice
@@ -247,3 +279,60 @@ class TestSyncSweep:
             sync_sweep(4, 16, grid_step=0.0)
         with pytest.raises(ValueError):
             sync_sweep(4, 16, grid_step=0.6)
+
+
+class TestRankBox:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 64), st.sampled_from((2, 4, 8)))
+    def test_interval_lengths_count_the_box(self, M_A, k):
+        *_, lo, hi = _box(M_A, k * M_A)
+        assert np.all(lo <= hi)
+        # bincount in slices: 64/512 has 37M cells
+        h = sum(
+            np.bincount(hi[s : s + 2**22] - lo[s : s + 2**22] + 1, minlength=M_A + 1)
+            for s in range(0, lo.size, 2**22)
+        )
+        assert np.array_equal(h, _interval_lengths(M_A, k * M_A))
+
+    def test_box_holds_every_tuple_once(self):
+        # summing each cell's interval length counts every four-tuple of ranks
+        *_, lo, hi = _box(8, 32)
+        assert int(np.sum(hi - lo + 1)) == 8**2 * 32**2
+
+    def test_occupancy_and_sorted_ids_give_equal_tables(self, monkeypatch):
+        # a two-form class of the 0.05 grid at 16/64, keyed over a small range
+        forms = ((2, 0, 1), (0, 1, -1))
+        assert forms in {_classes(16, 64, a, b) for a in GRID_05 for b in GRID_05}
+        box = _box(16, 64)
+        key = _key(forms, box[:3])
+        assert np.ptp(key) < 4 * key.size  # the occupancy path
+        table = _relay_table(16, forms, box)
+        assert table.flags.c_contiguous
+        monkeypatch.setattr(pnc.sync, "_class_ids", lambda k: np.unique(k, return_inverse=True)[1])
+        assert np.array_equal(_relay_table(16, forms, box), table)
+
+    @pytest.mark.parametrize("orders", [(2, 4), (4, 16), (8, 32), (16, 64)])
+    def test_generic_closed_form_matches_the_table(self, orders):
+        M_A, M_B = orders
+        u_forms = _forms([_exact(0.1)])
+        table = _relay_table(M_A, _IDENTITY, _box(M_A, M_B))
+        expected = math.log2(M_A) - mi_bits(table)
+        assert _bound(M_A, M_B, _IDENTITY, u_forms) == pytest.approx(expected, abs=1e-12)
+
+    def test_generic_points_need_no_box(self, monkeypatch):
+        def no_box(M_A, M_B):
+            raise AssertionError("the generic class needs no table")
+
+        monkeypatch.setattr(pnc.sync, "_box", no_box)
+        for orders in ((64, 256), (128, 512)):
+            assert 0 < ub_with_sync(*orders, SyncParams(0.1, 0.3)) < math.log2(orders[0])
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_generic_loss_tends_to_its_limit(self, k):
+        limit = (6 * k * k + 8 * k - 1) / (12 * k * k * math.log(2))
+        misses = [
+            abs(math.log2(M_A) - ub_with_sync(M_A, k * M_A, SyncParams(0.1, 0.3)) - limit)
+            for M_A in (2**8, 2**12, 2**16)
+        ]
+        assert misses == sorted(misses, reverse=True)
+        assert misses[-1] < 1e-8
