@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from . import encoders as enc_mod
 from . import mimo as mimo_mod
 from . import sync as sync_mod
-from .constellation import _validate_orders, pam_sum_profile
+from .constellation import _validate_orders, preimage_count_pam
 
 __all__ = ["main", "run", "DEFAULT_SEED"]
 
@@ -39,33 +39,25 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(rows, header, path=None, out=sys.stdout):
+def _csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    text = buf.getvalue()
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _profile_rows(ma: int, mb: int):
-    profile = pam_sum_profile(ma, mb)
-    return ("y", "count", "pmf"), [(y, profile.count(y), profile.pmf(y)) for y in profile.support()]
+    """Header and rows (y, count, pmf) over the reachable sums y, counted in closed form."""
+    counts = [(y, preimage_count_pam(y, ma, mb)) for y in range(2 - ma - mb, ma + mb - 1, 2)]
+    return ("y", "count", "pmf"), [(y, c, c / (ma * mb)) for y, c in counts]
 
 
-def _cmd_profile(args, out):
-    _validate_orders(args.ma, args.mb)
-    header, rows = _profile_rows(args.ma, args.mb)
-    _write_csv(rows, header, args.csv, out)
+def _cmd_profile(args) -> str:
+    return _csv(*_profile_rows(args.ma, args.mb))
 
 
-def _cmd_bounds(args, out):
-    _validate_orders(args.ma, args.mb)
+def _cmd_bounds(args) -> str:
     b = bounds_mod.compute_bounds(args.ma, args.mb)
     r_a, r_b = enc_mod.rate_nocoop(args.ma, args.mb)
     r_coop = enc_mod.rate_coop(args.ma, args.mb)
@@ -81,11 +73,10 @@ def _cmd_bounds(args, out):
         "gap_bob": gap_b,
         "gap_alice_coop": gap_a_coop,
     }
-    out.write(json.dumps(report, indent=2) + "\n")
+    return json.dumps(report, indent=2) + "\n"
 
 
-def _cmd_encode(args, out):
-    _validate_orders(args.ma, args.mb)
+def _cmd_encode(args) -> str:
     queues = enc_mod.BitQueues(public_bits=args.public, secret_bits=args.secret)
     if args.scheme == "nocoop":
         partition = enc_mod.build_partition(args.ma, args.mb, args.side)
@@ -98,11 +89,10 @@ def _cmd_encode(args, out):
         symbols = enc_mod.encode_coop(queues, args.levels, enc_mod.make_pam(args.ma))
         if not queues.exhausted:
             raise ValueError("bits left over after the supplied levels")
-    out.write(",".join(str(s) for s in symbols) + "\n")
+    return ",".join(str(s) for s in symbols) + "\n"
 
 
-def _cmd_audit(args, out):
-    _validate_orders(args.ma, args.mb)
+def _cmd_audit(args) -> str:
     scheme = {"nocoop": f"nocoop_{args.side}", "coop": "coop"}[args.scheme]
     report = enc_mod.audit_leakage(scheme, args.ma, args.mb)
     payload = {
@@ -112,36 +102,33 @@ def _cmd_audit(args, out):
         "flat_suffix_mi": list(report.flat_suffix_mi),
         "flat_semantic_mi": report.flat_semantic_mi,
     }
-    out.write(json.dumps(payload, indent=2) + "\n")
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_sync_sweep(args, out):
-    _validate_orders(args.ma, args.mb)
-    rows = sync_mod.sync_sweep(args.ma, args.mb, args.step)
-    _write_csv(rows, ("dta", "dtb", "ub"), args.csv, out)
+def _cmd_sync_sweep(args) -> str:
+    return _csv(("dta", "dtb", "ub"), sync_mod.sync_sweep(args.ma, args.mb, args.step))
 
 
-def _cmd_mimo(args, out):
+def _cmd_mimo(args) -> str:
     if args.dim:
         d = mimo_mod.dof_max(args.m, args.n)
         payload = {"dof_max": d}
         if d >= 1:
             payload["precoder_space_dim"] = mimo_mod.precoder_space_dim(args.m, args.n)
-        out.write(json.dumps(payload) + "\n")
-        return
+        return json.dumps(payload) + "\n"
     method = {"zf": "zf", "opt": "optimized"}[args.method]
     snrs = [10 ** (db / 10) for db in args.snr_db]
     result = mimo_mod.ergodic_capacity_mc(args.m, args.n, snrs, args.trials, args.seed, method)
     rows = [(db, mean) for db, (_, mean) in zip(args.snr_db, result)]
-    _write_csv(rows, ("snr_db", "mean_capacity_bits"), args.csv, out)
+    return _csv(("snr_db", "mean_capacity_bits"), rows)
 
 
-def _figure_rows(figure: str, trials: int, seed: int):
-    if figure == "rays_pmf":
-        return _profile_rows(4, 16)
-    if figure == "sync_err":
-        return ("dta", "dtb", "ub"), sync_mod.sync_sweep(4, 16, 0.05)
-    if figure == "gaps":
+def _cmd_figure(args) -> str:
+    if args.name == "rays_pmf":
+        return _csv(*_profile_rows(4, 16))
+    if args.name == "sync_err":
+        return _csv(("dta", "dtb", "ub"), sync_mod.sync_sweep(4, 16, 0.05))
+    if args.name == "gaps":
         rows = []
         for ma in (4, 8, 16, 32, 64):
             mb = 2 * ma
@@ -150,20 +137,15 @@ def _figure_rows(figure: str, trials: int, seed: int):
                 rates = (*enc_mod.rate_nocoop(ma, mb), enc_mod.rate_coop(ma, mb))
                 rows.append((ma, mb, *enc_mod.gaps(b, *rates)))
                 mb *= 2
-        return ("ma", "mb", "gap_alice", "gap_bob", "gap_alice_coop"), rows
+        return _csv(("ma", "mb", "gap_alice", "gap_bob", "gap_alice_coop"), rows)
     rows = []  # cap_approx, the last of FIGURES
     snr_db = [0.0, 5.0, 10.0, 15.0, 20.0]
     snrs = [10 ** (db / 10) for db in snr_db]
     for m, n in ((2, 2), (3, 3), (3, 2), (4, 3)):
         for method in ("zf", "optimized"):
-            result = mimo_mod.ergodic_capacity_mc(m, n, snrs, trials, seed, method)
+            result = mimo_mod.ergodic_capacity_mc(m, n, snrs, args.trials, args.seed, method)
             rows.extend((m, n, method, db, mean) for db, (_, mean) in zip(snr_db, result))
-    return ("m", "n", "method", "snr_db", "mean_capacity_bits"), rows
-
-
-def _cmd_figure(args, out):
-    header, rows = _figure_rows(args.name, args.trials, args.seed)
-    _write_csv(rows, header, args.csv, out)
+    return _csv(("m", "n", "method", "snr_db", "mean_capacity_bits"), rows)
 
 
 def _checked(convert, what, ok=lambda value: True):
@@ -209,6 +191,7 @@ def _ignored_flags(args) -> tuple[str, tuple[str, ...]]:
 
 
 _POSITIVE_INT = _checked(int, "an int > 0", lambda v: v > 0)
+_SEED = _checked(int, "an int >= 0", lambda v: v >= 0)  # numpy's seeds are non-negative
 _POSITIVE_FLOAT = _checked(float, "a float > 0", lambda v: v > 0)  # nan is not
 _BITS = _checked(str, "a 0/1 string", lambda text: not text.strip("01"))
 # each 10^(dB/10) must be a float > 0: nan, ±inf, above 3082 dB or below -3233 dB is not
@@ -274,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated SNRs in dB; a list that starts negative needs '=', as --snr-db=-5,0",
     )
     p.add_argument("--trials", type=_POSITIVE_INT, default=1000, action=_Noted)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, action=_Noted)
+    p.add_argument("--seed", type=_SEED, default=DEFAULT_SEED, action=_Noted)
     p.add_argument("--method", choices=("zf", "opt"), default="zf", action=_Noted)
     p.add_argument("--csv", action=_Noted, help="write to this path instead of stdout")
     p.set_defaults(func=_cmd_mimo)
@@ -282,14 +265,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="emit the data series behind a figure")
     p.add_argument("name", choices=FIGURES)
     p.add_argument("--trials", type=_POSITIVE_INT, default=1000, action=_Noted)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, action=_Noted)
+    p.add_argument("--seed", type=_SEED, default=DEFAULT_SEED, action=_Noted)
     p.add_argument("--csv", help="write to this path instead of stdout")
     p.set_defaults(func=_cmd_figure)
 
     return parser
 
 
-def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
+def run(argv=None, out=None, err=None) -> int:
+    """Run the command in argv (default sys.argv[1:]) and return its exit code.
+
+    The command's text goes to the --csv file, opened before the work as
+    `> PATH` would, or else to `out`; messages go to `err`.  The streams
+    default to sys.stdout and sys.stderr as they are at the call.
+    """
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = build_parser().parse_args(argv)
@@ -304,15 +295,18 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         err.write("error: --scheme coop requires --levels\n")
         return EXIT_USAGE
     try:
-        args.func(args, out)
+        if hasattr(args, "ma"):  # every command with --ma has --mb
+            _validate_orders(args.ma, args.mb)
+        try:
+            sink = open(args.csv, "w") if getattr(args, "csv", None) else contextlib.nullcontext(out)
+        except OSError as exc:
+            err.write(f"error: cannot write {exc.filename}: {exc.strerror}\n")
+            return EXIT_USAGE
+        with sink as dest:
+            dest.write(args.func(args))
     except (ValueError, enc_mod.QueueUnderflow) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
-    except OSError as exc:
-        if exc.filename is None:  # not a --csv path that failed to open
-            raise
-        err.write(f"error: cannot write {exc.filename}: {exc.strerror}\n")
-        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -66,22 +66,22 @@ class BitQueues:
 
     def __post_init__(self):
         for name, bits in (("public", self.public_bits), ("secret", self.secret_bits)):
-            if any(b not in "01" for b in bits):
+            if bits.strip("01"):
                 raise ValueError(f"{name} bits must be a 0/1 string")
 
-    def next_public(self, symbol_index: int) -> str:
-        if self.public_cursor >= len(self.public_bits):
+    def take_public(self, n: int, symbol_index: int) -> str:
+        bits = self.public_bits[self.public_cursor : self.public_cursor + n]
+        if len(bits) < n:
             raise QueueUnderflow("public", symbol_index)
-        bit = self.public_bits[self.public_cursor]
-        self.public_cursor += 1
-        return bit
+        self.public_cursor += n
+        return bits
 
-    def next_secret(self, symbol_index: int) -> str:
-        if self.secret_cursor >= len(self.secret_bits):
+    def take_secret(self, n: int, symbol_index: int) -> str:
+        bits = self.secret_bits[self.secret_cursor : self.secret_cursor + n]
+        if len(bits) < n:
             raise QueueUnderflow("secret", symbol_index)
-        bit = self.secret_bits[self.secret_cursor]
-        self.secret_cursor += 1
-        return bit
+        self.secret_cursor += n
+        return bits
 
     @property
     def exhausted(self) -> bool:
@@ -138,8 +138,8 @@ def encode_stream(
 
     At each depth a public bit is consumed unless every leaf of the current
     subtree marks that depth secret (depth d, counted from 0, is secret for
-    a leaf of level k iff k >= m - d), in which case a secret bit is
-    consumed instead.
+    a leaf of level k iff k >= m - d).  Then every deeper depth is secret
+    too, and the rest of the label is taken from the secret queue at once.
     """
     pam, levels = partition.constellation, partition.levels
     m = pam.bits_per_symbol
@@ -148,10 +148,11 @@ def encode_stream(
         lo, hi = 0, pam.order
         for depth in range(m):
             # levels never dip between the rims: a subtree's lowest sits at an end leaf
-            all_secret = min(levels[lo], levels[hi - 1]) >= m - depth
-            bit = queues.next_secret(i) if all_secret else queues.next_public(i)
+            if min(levels[lo], levels[hi - 1]) >= m - depth:
+                lo += int(queues.take_secret(m - depth, i), 2)
+                break
             mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if bit == "0" else (mid, hi)
+            lo, hi = (lo, mid) if queues.take_public(1, i) == "0" else (mid, hi)
         symbols.append(pam.points[lo])
     return symbols
 
@@ -213,10 +214,7 @@ def encode_coop(
     for i, k in enumerate(levels):
         if not 0 <= k <= m:
             raise ValueError(f"level {k} out of range 0..{m}")
-        bits = "".join(queues.next_public(i) for _ in range(m - k)) + "".join(
-            queues.next_secret(i) for _ in range(k)
-        )
-        symbols.append(labeling.unlabel(bits))
+        symbols.append(labeling.unlabel(queues.take_public(m - k, i) + queues.take_secret(k, i)))
     return symbols
 
 

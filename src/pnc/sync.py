@@ -265,17 +265,22 @@ def ub_with_sync(M_A: int, M_B: int, p: SyncParams) -> float:
     return _bound(M_A, M_B, _classes(M_A, M_B, a, b), _forms([a]))
 
 
+def _offsets(grid_step: float) -> list[Fraction]:
+    """Every i * step in [0, 1], i = 0, 1, ..., for the exact step Fraction(str(grid_step))."""
+    step = Fraction(str(grid_step))
+    return [i * step for i in range(math.floor(1 / step) + 1)]
+
+
 def sync_sweep(M_A: int, M_B: int, grid_step: float = 0.05) -> list[tuple[float, float, float]]:
     """Rows (delta_a, delta_b, ub) over the full [0, 1]^2 offset grid.
 
-    Offsets are i * Fraction(str(grid_step)), capped at 1; the bound is
-    evaluated once per exact observation class.
+    Offsets are the i * Fraction(str(grid_step)) <= 1 (see _offsets); the
+    bound is evaluated once per exact observation class.
     """
     if not 0 < grid_step <= 0.5:
         raise ValueError("grid_step must lie in (0, 0.5]")
     _validate_orders(M_A, M_B)
-    step = Fraction(str(grid_step))
-    grid = [_exact(min(i * step, 1)) for i in range(math.floor(1 / grid_step) + 1)]
+    grid = [_exact(r) for r in _offsets(grid_step)]
     box = _box(M_A, M_B)
     bounds, rows = {}, []
     for a in grid:

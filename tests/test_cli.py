@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
 import io
 import json
 
 import pytest
 
-from pnc.cli import DEFAULT_SEED, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, run
+import pnc.sync
+from pnc.cli import DEFAULT_SEED, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _profile_rows, run
+from pnc.constellation import pam_sum_profile
 
 
 def invoke(argv):
@@ -141,6 +144,15 @@ class TestProfile:
         assert path.read_text().splitlines()[0] == "y,count,pmf"
 
 
+    @pytest.mark.parametrize(
+        "ma,mb", [(2, 4), (2, 64), (4, 8), (4, 16), (8, 32), (16, 64), (32, 64), (64, 256), (64, 1024)]
+    )
+    def test_rows_equal_the_enumerated_profile(self, ma, mb):
+        profile = pam_sum_profile(ma, mb)
+        rows = [(y, profile.count(y), profile.pmf(y)) for y in profile.support()]
+        assert repr(_profile_rows(ma, mb)[1]) == repr(rows)
+
+
 class TestAudit:
     def test_json_fields(self):
         code, out, _ = invoke(
@@ -199,6 +211,23 @@ class TestSyncSweep:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: cannot write {path}: No such file or directory\n"
         assert not path.parent.exists()
+
+    def test_unopenable_csv_is_refused_before_the_work(self, tmp_path, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(pnc.sync, "sync_sweep", unreachable)
+        path = tmp_path / "missing" / "x.csv"
+        argv = ["sync-sweep", "--ma", "32", "--mb", "128", "--csv", str(path)]
+        assert invoke(argv)[0] == EXIT_USAGE
+
+    def test_failed_command_leaves_csv_empty(self, tmp_path):
+        # --csv PATH acts as `> PATH`: the file is opened before the work
+        path = tmp_path / "x.csv"
+        path.write_text("old\n")
+        code, out, err = invoke(["sync-sweep", *ORDERS, "--step", "0.7", "--csv", str(path)])
+        assert (code, out, err) == (EXIT_INFEASIBLE, "", "error: grid_step must lie in (0, 0.5]\n")
+        assert path.read_text() == ""
 
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "x"])
     def test_non_positive_step_exit_2(self, step):
@@ -314,6 +343,14 @@ class TestMimo:
         _, out2, _ = invoke(argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "argv", [["mimo", "--m", "4", "--n", "3", "--trials", "2"], ["figure", "cap_approx", "--trials", "1"]]
+    )
+    def test_negative_seed_exit_2(self, argv):
+        code, out, err = invoke([*argv, "--seed", "-1"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "argument --seed" in err
+
     def test_default_seed_documented(self):
         assert DEFAULT_SEED == 20_177
 
@@ -361,6 +398,14 @@ class TestStreams:
         assert "invalid choice: 'nope'" in err.getvalue()
         assert out.getvalue() == ""
         assert capsys.readouterr() == ("", "")
+
+    def test_default_streams_are_those_at_the_call(self):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert run(["encode", *ORDERS, "--scheme", "nocoop", "--public", "001", "--secret", "1"]) == EXIT_OK
+            assert run(["bounds", "--ma", "4", "--mb", "6"]) == EXIT_INFEASIBLE
+        assert out.getvalue() == "-9\n"
+        assert err.getvalue() == "error: require M_B >= 2*M_A, got M_A=4, M_B=6\n"
 
     def test_help_goes_to_out(self, capsys):
         out, err = io.StringIO(), io.StringIO()

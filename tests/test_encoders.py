@@ -145,6 +145,18 @@ class TestTreeEncoder:
             encode_stream(q, part, count=3)
         assert exc.value.symbol_index == 1
 
+    @pytest.mark.parametrize("which", ["public", "secret"])
+    def test_take_slices_and_underflow_names_the_queue(self, which):
+        q = BitQueues("0110", "1001")
+        take = getattr(q, f"take_{which}")
+        assert take(3, 0) == getattr(q, f"{which}_bits")[:3]
+        with pytest.raises(QueueUnderflow) as exc:
+            take(2, 5)
+        assert (exc.value.which, exc.value.symbol_index) == (which, 5)
+        assert f"{which} bit queue exhausted while forming symbol 5" in str(exc.value)
+        assert take(1, 6) == getattr(q, f"{which}_bits")[3]
+        assert take(0, 7) == ""
+
     def test_decode_subtraction(self):
         part = build_partition(4, 16, "alice")
         public, _ = decode_stream([-8], [-9], part)

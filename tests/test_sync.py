@@ -20,6 +20,7 @@ from pnc.sync import (
     _forms,
     _interval_lengths,
     _key,
+    _offsets,
     _relay_table,
     _sine,
     alpha_beta,
@@ -273,6 +274,25 @@ class TestSyncSweep:
         rows = [r for r in sync_sweep(4, 16, grid_step=0.05) if r[0] == 1.0]
         assert len(rows) == 21
         assert all(ub == 0.0 for _, _, ub in rows)
+
+    def test_grid_size_comes_from_the_exact_step(self):
+        # 1 / 0.11111111111111112 rounds to 9.0 in floats, but nine of these
+        # steps pass 1: the grid stops at 8 * step, with no offset capped at 1
+        rows = sync_sweep(2, 4, grid_step=0.11111111111111112)
+        assert len(rows) == 81
+        assert rows[-1][:2] == (float(8 * Fraction("0.11111111111111112")),) * 2
+
+    @pytest.mark.parametrize(
+        "grid_step,size",
+        [(0.05, 21), (0.15, 7), (0.2, 6), (0.25, 5), (0.5, 3), (0.11111111111111112, 9),
+         (0.0005291005291005291, 1891)],
+    )
+    def test_offsets_are_every_multiple_up_to_1(self, grid_step, size):
+        # floor(1 / grid_step) in floats gives one offset more at 0.11111111111111112
+        # and one fewer at 0.0005291005291005291, where 1890 * step <= 1
+        step = Fraction(str(grid_step))
+        assert _offsets(grid_step) == [i * step for i in range(size)]
+        assert (size - 1) * step <= 1 < size * step
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
