@@ -36,7 +36,6 @@ from .encoders import (
     rate_nocoop,
 )
 from .mimo import (
-    OptimizeOptions,
     OptimizeResult,
     PrecoderPair,
     PrecoderProblem,

@@ -3,7 +3,8 @@
 Scalar reports are emitted as JSON, data series as CSV with a header row
 and 12-significant-digit floats.  Exit codes: 0 success, 2 usage error
 (including a flag that the chosen mode ignores, a missing flag that it
-needs, or a --csv path that cannot be opened), 3 infeasible parameters.
+needs, or a --csv path that cannot be opened or written), 3 infeasible
+parameters.
 """
 
 from __future__ import annotations
@@ -272,11 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(err, path: str, exc: OSError) -> int:
+    err.write(f"error: cannot write {path}: {exc.strerror}\n")
+    return EXIT_USAGE
+
+
 def run(argv=None, out=None, err=None) -> int:
     """Run the command in argv (default sys.argv[1:]) and return its exit code.
 
     The command's text goes to the --csv file, opened before the work as
-    `> PATH` would, or else to `out`; messages go to `err`.  The streams
+    `> PATH` would, or else to `out`; messages go to `err`.  A --csv file
+    that cannot be opened, written or closed exits 2.  The streams
     default to sys.stdout and sys.stderr as they are at the call.
     """
     out = sys.stdout if out is None else out
@@ -297,13 +304,20 @@ def run(argv=None, out=None, err=None) -> int:
     try:
         if hasattr(args, "ma"):  # every command with --ma has --mb
             _validate_orders(args.ma, args.mb)
+        path = getattr(args, "csv", None)
         try:
-            sink = open(args.csv, "w") if getattr(args, "csv", None) else contextlib.nullcontext(out)
+            sink = open(path, "w") if path else contextlib.nullcontext(out)
         except OSError as exc:
-            err.write(f"error: cannot write {exc.filename}: {exc.strerror}\n")
-            return EXIT_USAGE
-        with sink as dest:
-            dest.write(args.func(args))
+            return _cannot_write(err, path, exc)
+        text = None  # set once the command returns: an OSError before that is its own
+        try:
+            with sink as dest:
+                text = args.func(args)
+                dest.write(text)  # a full device fails here or on the close
+        except OSError as exc:
+            if text is None or not path:
+                raise
+            return _cannot_write(err, path, exc)
     except (ValueError, enc_mod.QueueUnderflow) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE

@@ -11,9 +11,10 @@ per-user power constraints; it is found by dual water-filling (Telatar
 constraints by safeguarded false position (Anderson & Björck 1973), and
 every result carries its duality gap as a certificate of optimality.
 
-`nullspace_basis`, `capacity` and zero-forcing accept a leading stack axis,
-so Monte Carlo evaluates all trials of a request in one pass through the
-same code that serves a single instance.
+`nullspace_basis`, `capacity`, zero-forcing and the solver accept a leading
+stack axis, so Monte Carlo evaluates all trials of a request in one pass
+through the same code that serves a single instance: `optimize_precoders`
+is the better of ZF and the optimum on a batch of one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 __all__ = [
     "PrecoderProblem",
     "PrecoderPair",
-    "OptimizeOptions",
     "OptimizeResult",
     "dof_max",
     "precoder_space_dim",
@@ -46,6 +46,11 @@ _LN2 = math.log(2.0)
 # (the inverse of the Frobenius condition number)
 _RANK_TOL = 1e-10
 
+# the dual solver's budget of root-finding steps per instance, and the
+# duality gap (bits) at which an instance counts as solved
+_MAX_STEPS = 500
+_GAP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PrecoderProblem:
@@ -64,8 +69,7 @@ class PrecoderProblem:
         if ha.shape != hb.shape:
             raise ValueError("channel matrices must share a shape")
         m, n = ha.shape
-        if n > m:
-            raise ValueError("require N <= M antennas")
+        _dof(m, n)
         if not 0 < self.snr < math.inf:
             raise ValueError(f"snr must be finite and positive, got {self.snr}")
         object.__setattr__(self, "H_A", ha)
@@ -102,19 +106,12 @@ class PrecoderPair:
 
 
 @dataclass(frozen=True)
-class OptimizeOptions:
-    """Budget of root-finding steps and duality-gap tolerance (bits) of the dual solver."""
-
-    max_iters: int = 500
-    grad_tol: float = 1e-10
-
-
-@dataclass(frozen=True)
 class OptimizeResult:
     """Precoders found by :func:`optimize_precoders` and their certificate.
 
     `iterations` counts the dual solver's root-finding steps, and
-    `dual_gap` bounds how far `capacity` lies below the optimum.
+    `dual_gap` bounds how far `capacity` lies below the optimum;
+    `converged` is False when the step budget ran out first.
     """
 
     pair: PrecoderPair
@@ -122,7 +119,6 @@ class OptimizeResult:
     iterations: int
     converged: bool
     dual_gap: float
-    stop_reason: str  # "gap_tol" or "max_iters"
     trace: list = field(default_factory=list, repr=False)
 
 
@@ -135,11 +131,17 @@ def dof_max(M: int, N: int) -> int:
     return max(2 * N - M, 0)
 
 
-def precoder_space_dim(M: int, N: int) -> int:
-    """Real-manifold dimension of the feasible precoder space, 2(d^2 - 1)."""
+def _dof(M: int, N: int) -> int:
+    """:func:`dof_max`, raising when no dimension is interference-free."""
     d = dof_max(M, N)
     if d < 1:
-        raise ValueError("require d = 2N - M >= 1")
+        raise ValueError(f"no interference-free dimensions for (M, N) = ({M}, {N})")
+    return d
+
+
+def precoder_space_dim(M: int, N: int) -> int:
+    """Real-manifold dimension of the feasible precoder space, 2(d^2 - 1)."""
+    d = _dof(M, N)
     return 2 * (d * d - 1)
 
 
@@ -153,16 +155,13 @@ def nullspace_basis(H_A: np.ndarray, H_B: np.ndarray) -> np.ndarray:
     """
     H_A = np.atleast_2d(np.asarray(H_A, dtype=complex))
     H_B = np.atleast_2d(np.asarray(H_B, dtype=complex))
-    m, n = H_A.shape[-2:]
+    m = H_A.shape[-2]
     block = np.concatenate([H_A, -H_B], axis=-1)
     _, s, vh = np.linalg.svd(block)
     rank = np.sum(s > _RANK_TOL * s[..., :1], axis=-1)
     if np.any(rank < m):
         raise ValueError(f"stacked channel is rank deficient (rank {rank.min()} < {m})")
-    basis = np.swapaxes(vh[..., m:, :].conj(), -1, -2)
-    if basis.shape[-1] != 2 * n - m:
-        raise ValueError("unexpected nullspace dimension")
-    return basis
+    return np.swapaxes(vh[..., m:, :].conj(), -1, -2)
 
 
 def _herm(x: np.ndarray) -> np.ndarray:
@@ -210,8 +209,6 @@ def zf_precoders(problem: PrecoderProblem) -> PrecoderPair:
     otherwise the top and bottom N-row blocks of the nullspace basis
     become G_A and G_B.
     """
-    if problem.d < 1:
-        raise ValueError("no interference-free dimensions: d = 2N - M < 1")
     h_a, h_b = problem.H_A[None], problem.H_B[None]
     basis = None if problem.M == problem.N else nullspace_basis(h_a, h_b)
     g_a, g_b = _zf(h_a, h_b, basis)
@@ -268,9 +265,7 @@ def _waterfill(gains: np.ndarray, total: float) -> np.ndarray:
     return np.where(inv < nu, nu - inv, 0.0)
 
 
-def _solve_dual(
-    basis: np.ndarray, h_a: np.ndarray, snrs: np.ndarray, opts: OptimizeOptions
-) -> tuple[np.ndarray, ...]:
+def _solve_dual(basis: np.ndarray, h_a: np.ndarray, snrs: np.ndarray) -> tuple[np.ndarray, ...]:
     """Dual water-filling over a batch of T channels times S SNRs.
 
     With G = B·C and Q = C·C^H the problem is to maximise
@@ -293,10 +288,11 @@ def _solve_dual(
 
     W(0) = P_B (W(1) = P_A) is singular when P_A has an eigenvalue 1 (0);
     such an end is never evaluated, and step 2 bisects instead.  An
-    instance stops once its smallest dual value is within `opts.grad_tol`
-    of its best primal value; where H_A·E_A = 0 the capacity is 0 at any
-    precoder, so it stops before step 1.  W shares the eigenvectors V of
-    P_A, so the whitening is a diagonal scaling in that basis.
+    instance stops once its smallest dual value is within `_GAP_TOL` of its
+    best primal value, or after `_MAX_STEPS` steps; where H_A·E_A = 0 the
+    capacity is 0 at any precoder, so it stops before step 1.  W shares the
+    eigenvectors V of P_A, so the whitening is a diagonal scaling in that
+    basis.
 
     Instance t·S + s pairs channel t with `snrs[s]`.  Returns the stacked
     precoders G = B·C (T·S, 2N, d) of each best primal point, the
@@ -322,7 +318,7 @@ def _solve_dual(
     iterations = np.zeros(size, dtype=int)
     active = ~blind
     trace = []
-    for step in range(opts.max_iters):
+    for step in range(_MAX_STEPS):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -363,56 +359,65 @@ def _solve_dual(
         lo[idx], f_lo[idx] = np.where(heavier_a, theta, l), np.where(heavier_a, f, fl * shrink)
         hi[idx], f_hi[idx] = np.where(heavier_a, h, theta), np.where(heavier_a, fh * shrink, f)
         lo_moved[idx] = heavier_a
-        active[idx] = dual[idx] - primal[idx] > opts.grad_tol
+        active[idx] = dual[idx] - primal[idx] > _GAP_TOL
         trace.append(primal.copy())
     g = np.repeat(basis @ v, count, axis=0) @ best_c
     return g, iterations, primal, dual, np.array(trace).reshape(-1, size)
 
 
-def optimize_precoders(
-    problem: PrecoderProblem,
-    init: PrecoderPair | None = None,
-    opts: OptimizeOptions = OptimizeOptions(),
-) -> OptimizeResult:
+def _best(h_a: np.ndarray, h_b: np.ndarray, snrs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The better of ZF and the dual optimum for a stack of T channel pairs times S SNRs.
+
+    ZF's capacities come first, one precoder per channel for all SNRs.  For
+    d = 1 the feasible set is the ZF ray, along which capacity grows with
+    the power, so ZF is the optimum: no step is taken and its dual value is
+    its capacity.  Otherwise :func:`_solve_dual` runs on ZF's nullspace
+    basis, and an instance keeps ZF's pair where its capacity is higher.
+
+    Instance t·S + s pairs channel t with `snrs[s]`.  Returns the stacked
+    precoders (T·S, 2N, d) and their capacities (T, S), the root-finding
+    steps and smallest dual values (bits) per instance, and the running best
+    value after each step, starting at ZF's capacity (steps + 1, T·S).
+    """
+    _, m, n = h_a.shape
+    d = 2 * n - m
+    basis = nullspace_basis(h_a, h_b) if d > 1 or m != n else None
+    g_a, g_b = _zf(h_a, h_b, basis)
+    # ZF is independent of the SNR: one precoder per channel, one capacity per channel x SNR
+    caps = capacity(h_a[:, None], g_a[:, None], snrs)
+    g = np.repeat(np.concatenate([g_a, g_b], axis=1), len(snrs), axis=0)
+    zf = caps.reshape(1, -1)
+    if d == 1:
+        return g, caps, np.zeros(zf.size, dtype=int), zf[0], zf
+    g_opt, steps, _, dual, primal = _solve_dual(basis, h_a, snrs)
+    opt = capacity(h_a[:, None], g_opt[:, :n].reshape(*caps.shape, n, d), snrs)
+    g = np.where((caps > opt).reshape(-1, 1, 1), g, g_opt)
+    return g, np.maximum(caps, opt), steps, dual, np.vstack([zf, np.maximum(zf, primal)])
+
+
+def optimize_precoders(problem: PrecoderProblem) -> OptimizeResult:
     """Capacity-optimal aligned precoders, certified by the duality gap.
 
-    Runs the dual water-filling solver on a batch of one; `iterations`
-    counts its root-finding steps.  `trace` starts at capacity(init) and
-    holds the running best primal value after each step, and `dual_gap`
-    (the smallest dual value minus trace[-1]) bounds how far `capacity`
-    lies below the optimum, up to rounding.  For d = 1 the feasible set is
-    the ZF ray, along which capacity grows with the power, so ZF is
-    returned with no steps.  `init` (default: ZF) must be a feasible pair:
-    the result is the better of the solver's pair and `init`, so
-    `capacity` is never below capacity(init).
+    The better of ZF and the dual water-filling solver (ZF alone for
+    d = 1), from the step that Monte Carlo takes on a batch of one, so
+    `capacity` is never below ZF's.  `iterations` counts the solver's
+    root-finding steps.  `trace` starts at ZF's capacity and holds the
+    running best value after each step, and `dual_gap` (the smallest dual
+    value minus trace[-1], at most `_GAP_TOL` = 1e-10 bits once converged)
+    bounds how far `capacity` lies below the optimum, up to rounding.
     """
-    if init is None:
-        init = zf_precoders(problem)
-    n, snr = problem.N, problem.snr
-    trace = [capacity(problem.H_A, init.g_a, snr)]
-    if problem.d == 1:
-        pair, iterations, dual = zf_precoders(problem), 0, None
-    else:
-        basis = nullspace_basis(problem.H_A, problem.H_B)
-        g, steps, _, duals, primals = _solve_dual(
-            basis[None], problem.H_A[None], np.array([snr]), opts
-        )
-        pair = PrecoderPair(g_a=g[0, :n], g_b=g[0, n:])
-        iterations, dual = int(steps[0]), float(duals[0])
-        trace.extend(np.maximum(trace[0], primals[:, 0]).tolist())
-    cap = capacity(problem.H_A, pair.g_a, snr)
-    if trace[0] > cap:
-        pair, cap = init, trace[0]
+    g, caps, steps, dual, trace = _best(
+        problem.H_A[None], problem.H_B[None], np.array([problem.snr])
+    )
+    n, trace = problem.N, trace[:, 0].tolist()
     # trace[-1] and the capacity of its pair agree up to rounding
-    gap = 0.0 if dual is None else max(dual - trace[-1], 0.0)
-    converged = gap <= opts.grad_tol
+    gap = max(float(dual[0]) - trace[-1], 0.0)
     return OptimizeResult(
-        pair=pair,
-        capacity=cap,
-        iterations=iterations,
-        converged=converged,
+        pair=PrecoderPair(g_a=g[0, :n], g_b=g[0, n:]),
+        capacity=float(caps[0, 0]),
+        iterations=int(steps[0]),
+        converged=gap <= _GAP_TOL,
         dual_gap=gap,
-        stop_reason="gap_tol" if converged else "max_iters",
         trace=trace,
     )
 
@@ -434,31 +439,22 @@ def ergodic_capacity_mc(
     results are deterministic for a fixed seed regardless of scheduling.
     Returns rows (snr, mean capacity in bits).  The trials are stacked and
     evaluated in one pass: one nullspace SVD (or inverse) per channel for
-    ZF, one log-det per method for all trials x SNRs, and for the optimized
-    method one call of the solver behind :func:`optimize_precoders`, with
-    `OptimizeOptions()` and ZF's nullspace basis; like that function it
-    keeps the better of that pair and ZF per instance.
+    ZF and one log-det for all trials x SNRs; the optimized method takes
+    the step behind :func:`optimize_precoders` once, on the whole stack.
     """
-    d = 2 * N - M
-    if d < 1:
-        raise ValueError(f"no interference-free dimensions for (M, N) = ({M}, {N})")
-    if N > M:
-        raise ValueError("require N <= M antennas")
+    _dof(M, N)
     if method not in ("zf", "optimized"):
         raise ValueError("method must be 'zf' or 'optimized'")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     channels = [draw_channel_pair(M, N, np.random.default_rng([seed, t])) for t in range(trials)]
     h_a, h_b = (np.stack(h) for h in zip(*channels))
-    optimized = method == "optimized" and d > 1  # for d = 1 ZF is already optimal
-    basis = nullspace_basis(h_a, h_b) if optimized or M != N else None
     snrs = np.asarray(snr_list, dtype=float)
-    # ZF is independent of the SNR: one precoder per trial, one capacity per trial x SNR
-    caps = capacity(h_a[:, None], _zf(h_a, h_b, basis)[0][:, None], snrs)
-    if optimized:
-        g = _solve_dual(basis, h_a, snrs, OptimizeOptions())[0]
-        g_a = g[:, :N].reshape(trials, len(snrs), N, d)
-        caps = np.maximum(caps, capacity(h_a[:, None], g_a, snrs))
+    if method == "optimized":
+        caps = _best(h_a, h_b, snrs)[1]
+    else:
+        g_a = _zf(h_a, h_b, None if M == N else nullspace_basis(h_a, h_b))[0]
+        caps = capacity(h_a[:, None], g_a[:, None], snrs)
     # running sums in trial order, as a per-trial loop would add them
     sums = np.cumsum(caps, axis=0)[-1]
     return [(snr, float(total) / trials) for snr, total in zip(snr_list, sums)]

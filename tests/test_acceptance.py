@@ -30,7 +30,6 @@ from pnc.encoders import (
     rate_nocoop,
 )
 from pnc.mimo import (
-    OptimizeOptions,
     capacity,
     capacity_gradient,
     dof_max,
@@ -175,7 +174,6 @@ def test_criterion_9_mimo_feasibility_and_ascent():
         and precoder_space_dim(4, 3) == 6
         and precoder_space_dim(3, 3) == 16
     )
-    full = OptimizeOptions()
     snr = 10.0
     for M, N in ((2, 2), (3, 3), (3, 2), (4, 3)):
         improvements = []
@@ -189,7 +187,7 @@ def test_criterion_9_mimo_feasibility_and_ascent():
             ok = ok and pa <= N + 1e-9 and pb <= N + 1e-9
             ok = ok and abs(max(pa, pb) - N) <= 1e-9
             zf_cap = capacity(ha, pair.g_a, snr)
-            res = optimize_precoders(prob, pair, full)
+            res = optimize_precoders(prob)
             ok = ok and res.capacity >= zf_cap - 1e-12
             improvements.append(res.capacity - zf_cap)
             if (M, N) == (3, 2):

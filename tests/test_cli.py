@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 
 import pytest
 
@@ -228,6 +229,26 @@ class TestSyncSweep:
         code, out, err = invoke(["sync-sweep", *ORDERS, "--step", "0.7", "--csv", str(path)])
         assert (code, out, err) == (EXIT_INFEASIBLE, "", "error: grid_step must lie in (0, 0.5]\n")
         assert path.read_text() == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv", [["profile", "--ma", "4", "--mb", "16"], ["figure", "sync_err"]]
+    )
+    def test_unwritable_csv_exit_2(self, argv):
+        # /dev/full opens, but every write to it fails: a short text fails on
+        # the close's flush, a longer one already in the write
+        code, out, err = invoke([*argv, "--csv", "/dev/full"])
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: cannot write /dev/full: No space left on device\n"
+        )
+
+    def test_command_oserror_is_not_a_write_failure(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise OSError("the command failed")
+
+        monkeypatch.setattr(pnc.sync, "sync_sweep", broken)
+        with pytest.raises(OSError, match="the command failed"):
+            invoke(["sync-sweep", *ORDERS, "--csv", str(tmp_path / "x.csv")])
 
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "x"])
     def test_non_positive_step_exit_2(self, step):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pnc.mimo
 from pnc.mimo import (
-    OptimizeOptions,
     PrecoderPair,
     PrecoderProblem,
     capacity,
@@ -125,6 +125,34 @@ class TestDimensions:
         with pytest.raises(ValueError):
             precoder_space_dim(5, 2)
 
+    def test_one_geometry_message(self):
+        # a problem, its manifold dimension and a Monte Carlo run accept the
+        # same antenna counts and refuse the rest with the same message
+        def outcome(build):
+            try:
+                build()
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        mismatches = {}
+        for M in range(1, 9):
+            for N in range(1, 9):
+                if N > M:
+                    expected = "require N <= M antennas"
+                elif 2 * N - M < 1:
+                    expected = f"no interference-free dimensions for (M, N) = ({M}, {N})"
+                else:
+                    expected = None
+                got = [
+                    outcome(lambda: PrecoderProblem(H_A=np.ones((M, N)), H_B=np.ones((M, N)))),
+                    outcome(lambda: precoder_space_dim(M, N)),
+                    outcome(lambda: ergodic_capacity_mc(M, N, [1.0], trials=1, seed=0)),
+                ]
+                if got != [expected] * 3:
+                    mismatches[M, N] = got
+        assert mismatches == {}
+
 
 class TestNullspace:
     def test_identity_channels(self):
@@ -198,9 +226,8 @@ class TestZfPrecoders:
         assert not (abs(pa - 2) < 1e-9 and abs(pb - 2) < 1e-9)
 
     def test_infeasible(self):
-        prob = seeded_problem(5, 2, 3)
-        with pytest.raises(ValueError):
-            zf_precoders(prob)
+        with pytest.raises(ValueError, match=r"dimensions for \(M, N\) = \(5, 2\)"):
+            seeded_problem(5, 2, 3)
 
     def test_near_singular_square_channel_raises(self):
         # condition number 1e13: inverting it would leave user A nearly no power
@@ -261,7 +288,7 @@ class TestOptimize:
         for seed in range(5):
             prob = seeded_problem(3, 2, 40 + seed)
             pair = zf_precoders(prob)
-            res = optimize_precoders(prob, pair)
+            res = optimize_precoders(prob)
             assert abs(res.capacity - capacity(prob.H_A, pair.g_a, prob.snr)) < 1e-6
 
     @pytest.mark.parametrize("M,N", [(3, 3), (4, 3)])
@@ -270,7 +297,7 @@ class TestOptimize:
         for seed in range(5):
             prob = seeded_problem(M, N, 50 + seed)
             pair = zf_precoders(prob)
-            res = optimize_precoders(prob, pair)
+            res = optimize_precoders(prob)
             zf_cap = capacity(prob.H_A, pair.g_a, prob.snr)
             assert res.capacity >= zf_cap - 1e-12
             gains.append(res.capacity - zf_cap)
@@ -290,27 +317,30 @@ class TestOptimize:
         res = optimize_precoders(prob)
         assert all(b >= a - 1e-12 for a, b in zip(res.trace, res.trace[1:]))
 
-    def test_max_iters_flag(self):
+    def test_max_iters_flag(self, monkeypatch):
+        monkeypatch.setattr(pnc.mimo, "_MAX_STEPS", 1)
         prob = seeded_problem(4, 3, 63)
-        res = optimize_precoders(prob, opts=OptimizeOptions(max_iters=1))
+        res = optimize_precoders(prob)
         assert res.iterations == 1
-        assert not res.converged
-        assert res.stop_reason == "max_iters" and res.dual_gap > 1e-10
+        assert not res.converged and res.dual_gap > 1e-10
 
     def test_d_1_is_zf_without_steps(self):
         prob = seeded_problem(3, 2, 64)
         res = optimize_precoders(prob)
         zf = zf_precoders(prob)
-        assert res.iterations == 0 and res.dual_gap == 0.0 and res.stop_reason == "gap_tol"
+        assert res.iterations == 0 and res.dual_gap == 0.0 and res.converged
         np.testing.assert_array_equal(res.pair.g_a, zf.g_a)
         assert res.capacity == capacity(prob.H_A, zf.g_a, prob.snr)
 
-    def test_never_below_init(self):
-        # a max_iters=1 solve falls short of ZF here, so the ZF init is kept
+    def test_never_below_init(self, monkeypatch):
+        # a one-step solve falls short of ZF here, so ZF's pair is kept
+        monkeypatch.setattr(pnc.mimo, "_MAX_STEPS", 1)
         prob = seeded_problem(2, 2, 69)
         zf = zf_precoders(prob)
-        res = optimize_precoders(prob, zf, OptimizeOptions(max_iters=1))
-        assert res.pair is zf and res.capacity == capacity(prob.H_A, zf.g_a, prob.snr)
+        res = optimize_precoders(prob)
+        np.testing.assert_array_equal(res.pair.g_a, zf.g_a)
+        np.testing.assert_array_equal(res.pair.g_b, zf.g_b)
+        assert res.capacity == capacity(prob.H_A, zf.g_a, prob.snr)
         assert res.trace == [res.capacity, res.capacity]
 
     @settings(max_examples=60, deadline=None)
@@ -323,8 +353,8 @@ class TestOptimize:
         M, N = shape
         prob = seeded_problem(M, N, seed, snr=snr)
         zf = zf_precoders(prob)
-        res = optimize_precoders(prob, zf)
-        assert res.dual_gap <= 1e-10 and res.converged and res.stop_reason == "gap_tol"
+        res = optimize_precoders(prob)
+        assert res.dual_gap <= 1e-10 and res.converged
         # the ascent's value is feasible, so it lies at most dual_gap above ours
         assert res.capacity >= armijo_ascent(prob, zf) - max(res.dual_gap, 1e-12)
         assert res.pair.alignment_residual(prob.H_A, prob.H_B) <= 1e-10
@@ -339,9 +369,7 @@ class TestOptimize:
         # bisection alone needs about 32 steps per instance to reach the 1e-10 gap
         channels = [draw_channel_pair(M, N, np.random.default_rng([7, t])) for t in range(40)]
         h_a, h_b = (np.stack(h) for h in zip(*channels))
-        _, steps, primal, dual, _ = _solve_dual(
-            nullspace_basis(h_a, h_b), h_a, SNRS, OptimizeOptions()
-        )
+        _, steps, primal, dual, _ = _solve_dual(nullspace_basis(h_a, h_b), h_a, SNRS)
         assert np.all(dual - primal <= 1e-10)
         assert steps.mean() <= 10
 
@@ -361,17 +389,22 @@ class TestOptimize:
 
     def test_blind_channel_stops_before_the_first_step(self):
         # H_A·E_A = 0: every precoder has capacity 0, certified with no step
-        prob = PrecoderProblem(H_A=np.zeros((2, 2)), H_B=np.eye(2))
-        res = optimize_precoders(prob, PrecoderPair(np.eye(2), np.zeros((2, 2))))
-        assert res.iterations == 0 and res.converged and res.stop_reason == "gap_tol"
-        assert res.dual_gap == 0.0 and res.capacity == 0.0 and res.trace == [0.0]
+        h_a, h_b = np.zeros((1, 2, 2)), np.eye(2)[None]
+        _, steps, primal, dual, trace = _solve_dual(nullspace_basis(h_a, h_b), h_a, SNRS[:1])
+        assert steps.tolist() == [0] and primal.tolist() == dual.tolist() == [0.0]
+        assert trace.shape == (0, 1)
+        # ZF inverts H_A, so optimize_precoders refuses this channel as zf_precoders does
+        prob = PrecoderProblem(H_A=h_a[0], H_B=h_b[0])
+        for solve in (zf_precoders, optimize_precoders):
+            with pytest.raises(ValueError, match="singular"):
+                solve(prob)
 
     def test_beats_the_ascent_at_20_db(self):
         gains = []
         for seed in range(10):
             prob = seeded_problem(3, 3, 80 + seed, snr=100.0)
             zf = zf_precoders(prob)
-            gains.append(optimize_precoders(prob, zf).capacity - armijo_ascent(prob, zf))
+            gains.append(optimize_precoders(prob).capacity - armijo_ascent(prob, zf))
         assert min(gains) >= -1e-12 and max(gains) > 0.01
 
 
@@ -424,7 +457,7 @@ class TestStacked:
             assert caps[t].tolist() == [capacity(h_a[t], pair.g_a, snr) for snr in SNRS]
         precoders = [(g_a, g_b, h_a, h_b)]
         if M < 2 * N - 1:
-            g = _solve_dual(basis, h_a, SNRS, OptimizeOptions())[0]
+            g = _solve_dual(basis, h_a, SNRS)[0]
             rep = (np.repeat(h, len(SNRS), axis=0) for h in (h_a, h_b))
             precoders.append((g[:, :N], g[:, N:], *rep))
         for ga, gb, ha, hb in precoders:
@@ -444,12 +477,12 @@ class TestErgodicMc:
         snr = 10.0
         ha, hb = draw_channel_pair(4, 3, np.random.default_rng([5, 0]))
         prob = PrecoderProblem(H_A=ha, H_B=hb, snr=snr)
-        res = optimize_precoders(prob, zf_precoders(prob))
+        res = optimize_precoders(prob)
         assert ergodic_capacity_mc(4, 3, [snr], trials=1, seed=5, method="optimized") == [
             (snr, res.capacity)
         ]
 
-    @pytest.mark.parametrize("M,N", [(2, 2), (3, 3), (4, 3)])
+    @pytest.mark.parametrize("M,N", [(2, 2), (3, 2), (3, 3), (4, 3), (6, 4)])
     def test_batch_equals_per_instance_solves(self, M, N):
         snrs, trials = [1.0, 10.0, 100.0], 4
         rows = ergodic_capacity_mc(M, N, snrs, trials, seed=6, method="optimized")
@@ -458,7 +491,7 @@ class TestErgodicMc:
             for t in range(trials):
                 ha, hb = draw_channel_pair(M, N, np.random.default_rng([6, t]))
                 prob = PrecoderProblem(H_A=ha, H_B=hb, snr=snr)
-                caps.append(optimize_precoders(prob, zf_precoders(prob)).capacity)
+                caps.append(optimize_precoders(prob).capacity)
             assert snr == expected
             assert mean == pytest.approx(sum(caps) / trials, rel=1e-12)
 
