@@ -24,7 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from .constellation import SumProfile, _is_pam_point, _validate_orders, make_pam
+from .constellation import SumProfile, _is_pam_point, _step, _validate_orders, make_pam
 from .info import conditional_mi_bits, joint_counts, mi_bits
 
 __all__ = [
@@ -40,6 +40,15 @@ __all__ = [
 ]
 
 Side = Literal["alice", "bob"]
+
+
+def _side_orders(side: Side, M_A: int, M_B: int) -> tuple[int, int]:
+    """(own order, other user's order) for `side`; any other side raises."""
+    if side == "alice":
+        return M_A, M_B
+    if side == "bob":
+        return M_B, M_A
+    raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +88,7 @@ def guaranteed_entropy(x: int, side: Side, profile: SumProfile) -> float:
     """
     if profile.orders is None:
         raise ValueError("profile must carry PAM orders")
-    M_A, M_B = profile.orders
-    own = make_pam(M_A if side == "alice" else M_B)
-    other = make_pam(M_B if side == "alice" else M_A)
+    own, other = (make_pam(M) for M in _side_orders(side, *profile.orders))
     if x not in own:
         raise ValueError(f"{x} is not in the {own.order}-PAM constellation")
     return min(math.log2(profile.count(x + xo)) for xo in other.points)
@@ -94,19 +101,26 @@ def guaranteed_entropy_pam(x: int, side: Side, M_A: int, M_B: int) -> float:
     of its side's M-PAM alphabet (M = M_A for Alice, M_B for Bob) and
     d = (M - 1 - |x|) / 2 is its distance in steps from the nearer rim.
     """
+    return math.log2(_guaranteed_count(x, side, M_A, M_B))
+
+
+def _guaranteed_count(x: int, side: Side, M_A: int, M_B: int) -> int:
+    """Fewest preimages of x + x_o over the other user's points x_o: the staircase at x."""
     _validate_orders(M_A, M_B)
-    M = M_A if side == "alice" else M_B
+    M, _ = _side_orders(side, M_A, M_B)
     if not _is_pam_point(x, M):
         raise ValueError(f"{x} is not in the {M}-PAM constellation")
-    return math.log2(min((M + 1 - abs(x)) // 2, M_A))
+    return _step(int((x + M - 1) // 2), M, M_A)
 
 
 def ub_nocoop(M_A: int, M_B: int) -> tuple[float, float]:
-    """No-cooperation upper bounds: guaranteed entropy averaged per user."""
+    """No-cooperation upper bounds: guaranteed entropy averaged per user.
+
+    Each user's log2 staircase is summed over its points in rank order.
+    """
     _validate_orders(M_A, M_B)
-    r_a = sum(guaranteed_entropy_pam(x, "alice", M_A, M_B) for x in make_pam(M_A).points)
-    r_b = sum(guaranteed_entropy_pam(x, "bob", M_A, M_B) for x in make_pam(M_B).points)
-    return r_a / M_A, r_b / M_B
+    r_a, r_b = (sum(math.log2(_step(r, M, M_A)) for r in range(M)) / M for M in (M_A, M_B))
+    return r_a, r_b
 
 
 def csiszar_ub(joint: dict) -> float:

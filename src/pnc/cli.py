@@ -21,7 +21,7 @@ from . import bounds as bounds_mod
 from . import encoders as enc_mod
 from . import mimo as mimo_mod
 from . import sync as sync_mod
-from .constellation import _validate_orders, preimage_count_pam
+from .constellation import _step, _validate_orders
 
 __all__ = ["main", "run", "DEFAULT_SEED"]
 
@@ -49,9 +49,13 @@ def _csv(header, rows) -> str:
 
 
 def _profile_rows(ma: int, mb: int):
-    """Header and rows (y, count, pmf) over the reachable sums y, counted in closed form."""
-    counts = [(y, preimage_count_pam(y, ma, mb)) for y in range(2 - ma - mb, ma + mb - 1, 2)]
-    return ("y", "count", "pmf"), [(y, c, c / (ma * mb)) for y, c in counts]
+    """Header and rows (y, count, pmf) over the reachable sums y, counted in closed form.
+
+    The M = ma + mb - 1 sums y = 2s - (M - 1) are taken in rank order s.
+    """
+    M = ma + mb - 1
+    counts = [_step(s, M, ma) for s in range(M)]
+    return ("y", "count", "pmf"), [(2 * s - (M - 1), c, c / (ma * mb)) for s, c in enumerate(counts)]
 
 
 def _cmd_profile(args) -> str:

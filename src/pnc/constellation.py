@@ -39,8 +39,7 @@ class PamConstellation:
 
     def __post_init__(self):
         M = self.order
-        if not _is_power_of_two(M) or M < 2:
-            raise ValueError(f"PAM order must be a power of two >= 2, got {M}")
+        _validate_order(M)
         object.__setattr__(self, "points", tuple(range(-(M - 1), M, 2)))
         object.__setattr__(self, "bits_per_symbol", M.bit_length() - 1)
 
@@ -120,6 +119,11 @@ def _is_power_of_two(n: int) -> bool:
     return isinstance(n, int) and n >= 1 and (n & (n - 1)) == 0
 
 
+def _validate_order(M: int) -> None:
+    if not _is_power_of_two(M) or M < 2:
+        raise ValueError(f"PAM order must be a power of two >= 2, got {M}")
+
+
 def make_pam(M: int) -> PamConstellation:
     """Canonical M-PAM alphabet with rank bit labels; M a power of two >= 2."""
     return PamConstellation(M)
@@ -153,19 +157,31 @@ def _validate_orders(M_A: int, M_B: int) -> None:
         raise ValueError(f"require M_B >= 2*M_A, got M_A={M_A}, M_B={M_B}")
     if not _is_power_of_two(M_A) or not _is_power_of_two(M_B):
         raise ValueError("constellation orders must be powers of two")
+    _validate_order(M_A)  # the one order left to refuse is M_A = 1
+
+
+def _step(r: int, M: int, M_A: int) -> int:
+    """The staircase min(r + 1, M - r, M_A) at rank r of an M-point alphabet.
+
+    It rises by one per step in from either rim, d = min(r, M - 1 - r) steps,
+    up to the plateau M_A.  Every PAM closed form reads it: the preimage count
+    of a relay sum (rank r of the M_A + M_B - 1 sums) and the count a user's
+    point keeps against every point of the other user (rank r of its own
+    alphabet), whose log2 is its guaranteed entropy.
+    """
+    return min(r + 1, M - r, M_A)
 
 
 def preimage_count_pam(y, M_A: int, M_B: int) -> int:
     """Closed-form preimage count of y for M_A-PAM + M_B-PAM, M_B >= 2*M_A.
 
-    A reachable y (even, |y| < M_B + M_A) has min((M_B + M_A - |y|) // 2, M_A)
-    preimages: the staircase that rises by one per step in from the rim up
-    to the flat plateau M_A.  Any other y has none.
+    The reachable sums y = x_A + x_B form the M-point grid {-(M-1), ..., M-1}
+    with M = M_A + M_B - 1, and the sum of rank r has ``_step(r, M, M_A)``
+    preimages.  Any other y has none.
     """
     _validate_orders(M_A, M_B)
     if float(y) != int(y):
         return 0
-    ay = abs(int(y))
-    if ay % 2 or ay >= M_B + M_A:
-        return 0
-    return min((M_B + M_A - ay) // 2, M_A)
+    M = M_A + M_B - 1
+    y = int(y)
+    return _step((y + M - 1) // 2, M, M_A) if _is_pam_point(y, M) else 0

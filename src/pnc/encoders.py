@@ -18,14 +18,13 @@ variable-length semantic metric I(Y; (K, S)) is not assumed to be zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .bounds import SecrecyBounds, Side, guaranteed_entropy_pam
-from .constellation import PamConstellation, _validate_orders, make_pam
+from .bounds import SecrecyBounds, Side, _guaranteed_count, _side_orders
+from .constellation import PamConstellation, _step, _validate_orders, make_pam
 from .info import mi_bits
 
 __all__ = [
@@ -124,7 +123,7 @@ def build_partition(M_A: int, M_B: int, side: Side) -> SecrecyPartition:
     """
     _validate_orders(M_A, M_B)
     m_a = M_A.bit_length() - 1
-    M = M_A if side == "alice" else M_B
+    M, _ = _side_orders(side, M_A, M_B)
     levels = tuple(min(max(min(r, M - 1 - r).bit_length() - 1, 0), m_a) for r in range(M))
     return SecrecyPartition(constellation=make_pam(M), levels=levels)
 
@@ -199,8 +198,11 @@ def rate_nocoop(M_A: int, M_B: int) -> tuple[float, float]:
 
 
 def coop_level(x_B: int, M_A: int, M_B: int) -> int:
-    """Secret-bit budget Alice gets from advance knowledge of Bob's symbol."""
-    return math.floor(guaranteed_entropy_pam(x_B, "bob", M_A, M_B))
+    """Secret-bit budget Alice gets from advance knowledge of Bob's symbol.
+
+    The floor of Bob's guaranteed entropy at x_B, in integer arithmetic.
+    """
+    return _guaranteed_count(x_B, "bob", M_A, M_B).bit_length() - 1
 
 
 def encode_coop(
@@ -337,7 +339,7 @@ def audit_leakage(scheme: str, M_A: int, M_B: int) -> LeakageReport:
         *(audit(residues(lo, hi, j), np.arange(1 << j)) for j in range(1, M_A.bit_length()))
     )
     if scheme == "coop":  # Bob's symbol sets the count: his rank s - r lies in a run [a, b]
-        level = np.array([coop_level(x, M_A, M_B) for x in make_pam(M_B).points])
+        level = np.array([_step(r, M_B, M_A).bit_length() - 1 for r in range(M_B)])
     else:
         level = np.array(build_partition(M_A, M_B, scheme.removeprefix("nocoop_")).levels)
     # (K, S) as the single integer key (1 << K) | S, counted in column key; the

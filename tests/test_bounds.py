@@ -1,7 +1,10 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnc.bounds import (
     compute_bounds,
@@ -12,7 +15,14 @@ from pnc.bounds import (
     ub_nocoop,
     ub_pam,
 )
-from pnc.constellation import FiniteAlphabet, make_pam, pam_sum_profile, sum_profile
+from pnc.constellation import (
+    FiniteAlphabet,
+    make_pam,
+    pam_sum_profile,
+    preimage_count_pam,
+    sum_profile,
+)
+from pnc.encoders import build_partition, coop_level
 
 
 def aligned_pnc_joint(M_A, M_B):
@@ -167,3 +177,62 @@ class TestCsiszarBound:
         tiny = Fraction(1, 3**40)
         with pytest.raises(ValueError, match="denominator"):
             csiszar_ub({(0, 0, 0, 0): tiny, (1, 1, 1, 0): 1 - tiny})
+
+
+def nocoop_reference(M_A, M_B):
+    """ub_nocoop as a per-point sum of guaranteed_entropy_pam over each alphabet."""
+    r_a = sum(guaranteed_entropy_pam(x, "alice", M_A, M_B) for x in make_pam(M_A).points)
+    r_b = sum(guaranteed_entropy_pam(x, "bob", M_A, M_B) for x in make_pam(M_B).points)
+    return r_a / M_A, r_b / M_B
+
+
+cached_profile = functools.lru_cache(maxsize=None)(pam_sum_profile)  # the 32 of the grid below
+
+# the full order grid: M_A = 2 ... 2^8, M_B / M_A in {2, 4, 8, 16}
+ORDER_GRID = st.tuples(st.integers(1, 8), st.sampled_from((2, 4, 8, 16))).map(
+    lambda t: (1 << t[0], t[1] << t[0])
+)
+
+
+class TestStaircase:
+    """Every PAM closed form reads one staircase; each must equal its brute-force reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ORDER_GRID, st.data())
+    def test_closed_forms_equal_enumeration(self, orders, data):
+        M_A, M_B = orders
+        profile = cached_profile(M_A, M_B)
+        y = data.draw(st.integers(-(M_A + M_B) - 2, M_A + M_B + 2), label="y")
+        assert preimage_count_pam(y, M_A, M_B) == profile.count(y)
+        for side, M in (("alice", M_A), ("bob", M_B)):
+            x = 2 * data.draw(st.integers(0, M - 1), label=f"{side} rank") - (M - 1)
+            assert guaranteed_entropy_pam(x, side, M_A, M_B) == guaranteed_entropy(x, side, profile)
+        x_b = 2 * data.draw(st.integers(0, M_B - 1), label="coop rank") - (M_B - 1)
+        fewest = min(profile.count(x_a + x_b) for x_a in make_pam(M_A).points)
+        assert coop_level(x_b, M_A, M_B) == fewest.bit_length() - 1
+
+    @pytest.mark.parametrize(
+        "M_A,M_B", [(1 << k, r << k) for k in range(1, 11) for r in (2, 4, 8, 16)]
+    )
+    def test_nocoop_equals_the_per_point_sum(self, M_A, M_B):
+        # the same log2 terms in the same order, so the same floats
+        assert ub_nocoop(M_A, M_B) == nocoop_reference(M_A, M_B)
+
+    @pytest.mark.parametrize("side", ["Alice", "ALICE", "carol", "", None])
+    def test_unknown_side_raises(self, side):
+        # an unknown side once silently meant Bob
+        with pytest.raises(ValueError, match="side must be 'alice' or 'bob'"):
+            guaranteed_entropy_pam(1, side, 4, 16)
+        with pytest.raises(ValueError, match="side must be 'alice' or 'bob'"):
+            guaranteed_entropy(1, side, pam_sum_profile(4, 16))
+        with pytest.raises(ValueError, match="side must be 'alice' or 'bob'"):
+            build_partition(4, 16, side)
+
+    @pytest.mark.parametrize(
+        "f",
+        [ub_pam, ub_nocoop, compute_bounds, lambda M_A, M_B: preimage_count_pam(0, M_A, M_B)],
+        ids=["ub_pam", "ub_nocoop", "compute_bounds", "preimage_count_pam"],
+    )
+    def test_order_1_is_refused(self, f):
+        with pytest.raises(ValueError, match="power of two >= 2, got 1"):
+            f(1, 2)

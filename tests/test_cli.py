@@ -154,6 +154,53 @@ class TestProfile:
         assert repr(_profile_rows(ma, mb)[1]) == repr(rows)
 
 
+class TestClosedFormBytes:
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("profile --ma 4 --mb 8", "6e790b5035beb9568aa3c5105cef0ebf04b63a81372aa31e704848dc79d6cfc8"),
+            ("profile --ma 4 --mb 16", "211ad35e155e5383c141f4f36157467413d8cc2cc959ed78a76c1da2b0b168d4"),
+            ("profile --ma 8 --mb 32", "6af63e3efd301335eff912822a192f1114dba17b68b3a291f06e4d2d50f6e38f"),
+            ("profile --ma 16 --mb 64", "e3f375bb74453f6065ce54e120fd547e833c4bf6bc1e34b2403f59436c56e707"),
+            ("profile --ma 32 --mb 128", "b02ddd59810a2c74d38bc90bd45180942946bd131bbd35cf546fbc86791f56ab"),
+            ("profile --ma 64 --mb 256", "876532c4e00db8d0a81f9b35617554889ae4440759f38ff8406d9b49d7afcea4"),
+            ("bounds --ma 4 --mb 8", "3403042e4d02389d467fa1690ed2804185eadef9b18c2b6f19b3c3fa1145bb37"),
+            ("bounds --ma 4 --mb 16", "7e13a32bfb36b1e12524f8b3668e0559a331ed7d10dd730d58fefaf4f7e3d51e"),
+            ("bounds --ma 8 --mb 32", "e91b321a3c9d290d0da66fc53190b2bd7ba5673cbba2c8c4b904c4351d469f3b"),
+            ("bounds --ma 16 --mb 64", "ab81d982a0aef4eb06fad7968787a62f91b99feed208e11cf89e96cb3fa43ef7"),
+            ("bounds --ma 32 --mb 128", "77133c16425f17d49e89468d7f55cf9c8f10cd8628f59ffae1ca020a9c75c5ed"),
+            ("bounds --ma 64 --mb 256", "ebc6a628bced7ae99215c008c6f2f47447237666decc7bb6104aa07750d79cf7"),
+            ("figure gaps", "8f324ebd0a1ec26a02da01fabd269d2a9684ef1b8531cbcf407f279071856ab6"),
+        ],
+    )
+    def test_bytes_are_pinned(self, argv, digest):
+        # the staircase closed forms print the bytes of the per-point sums they replaced
+        code, out, err = invoke(argv.split())
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestOrders:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile"],
+            ["bounds"],
+            ["encode", "--scheme", "nocoop", "--side", "bob", "--public", "1"],
+            ["encode", "--scheme", "coop", "--levels", "0", "--public", "1"],
+            ["audit", "--scheme", "coop"],
+            ["audit", "--scheme", "nocoop", "--side", "alice"],
+            ["sync-sweep", "--step", "0.5"],
+        ],
+    )
+    @pytest.mark.parametrize("mb", ["2", "4"])
+    def test_order_1_exit_3(self, argv, mb):
+        # every --ma/--mb command refuses a one-point alphabet with one message
+        code, out, err = invoke([*argv, "--ma", "1", "--mb", mb])
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert err == "error: PAM order must be a power of two >= 2, got 1\n"
+
+
 class TestAudit:
     def test_json_fields(self):
         code, out, _ = invoke(

@@ -220,6 +220,15 @@ class TestCooperativeScheme:
         assert coop_level(15, 4, 16) == 0
         assert coop_level(-15, 4, 16) == 0
 
+    @pytest.mark.parametrize("k", [52, 53, 60])
+    def test_coop_level_is_exact_past_2_53(self, k):
+        # Bob's point of rank 2^k - 2 keeps c = 2^k - 1 preimages, so its floor
+        # log2 is k - 1; a float log2(2^k - 1) rounds up to k
+        M_A, M_B = 1 << (k + 1), 1 << (k + 2)
+        x_b = 2 * ((1 << k) - 2) - (M_B - 1)
+        assert coop_level(x_b, M_A, M_B) == ((1 << k) - 1).bit_length() - 1 == k - 1
+        assert coop_level(x_b + 2, M_A, M_B) == k  # the next point keeps 2^k
+
     def test_worked_example_8_32(self):
         q = BitQueues("01", "1111011")
         symbols = encode_coop(q, [3, 2, 2], make_pam(8))
