@@ -24,7 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from .constellation import SumProfile, _is_pam_point, _step, _validate_orders, make_pam
+from .constellation import SumProfile, _step, _step_at, _validate_orders, make_pam
 from .info import conditional_mi_bits, joint_counts, mi_bits
 
 __all__ = [
@@ -108,9 +108,7 @@ def _guaranteed_count(x: int, side: Side, M_A: int, M_B: int) -> int:
     """Fewest preimages of x + x_o over the other user's points x_o: the staircase at x."""
     _validate_orders(M_A, M_B)
     M, _ = _side_orders(side, M_A, M_B)
-    if not _is_pam_point(x, M):
-        raise ValueError(f"{x} is not in the {M}-PAM constellation")
-    return _step(int((x + M - 1) // 2), M, M_A)
+    return _step_at(x, M, M_A)
 
 
 def ub_nocoop(M_A: int, M_B: int) -> tuple[float, float]:

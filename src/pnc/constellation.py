@@ -116,10 +116,18 @@ def _is_pam_point(x, M: int) -> bool:
 
 
 def _is_power_of_two(n: int) -> bool:
-    return isinstance(n, int) and n >= 1 and (n & (n - 1)) == 0
+    return n >= 1 and (n & (n - 1)) == 0
+
+
+def _require_int(*orders) -> None:
+    """Refuse any order that is not an int, such as a numpy integer or a float."""
+    for M in orders:
+        if not isinstance(M, int):
+            raise ValueError(f"PAM order must be an int, got {type(M).__name__} {M!r}")
 
 
 def _validate_order(M: int) -> None:
+    _require_int(M)
     if not _is_power_of_two(M) or M < 2:
         raise ValueError(f"PAM order must be a power of two >= 2, got {M}")
 
@@ -153,6 +161,7 @@ def pam_sum_profile(M_A: int, M_B: int) -> SumProfile:
 
 
 def _validate_orders(M_A: int, M_B: int) -> None:
+    _require_int(M_A, M_B)
     if M_B < 2 * M_A:
         raise ValueError(f"require M_B >= 2*M_A, got M_A={M_A}, M_B={M_B}")
     if not _is_power_of_two(M_A) or not _is_power_of_two(M_B):
@@ -170,6 +179,13 @@ def _step(r: int, M: int, M_A: int) -> int:
     alphabet), whose log2 is its guaranteed entropy.
     """
     return min(r + 1, M - r, M_A)
+
+
+def _step_at(x: int, M: int, M_A: int) -> int:
+    """:func:`_step` at the rank of point x of the M-PAM alphabet; raises if x is no point."""
+    if not _is_pam_point(x, M):
+        raise ValueError(f"{x} is not in the {M}-PAM constellation")
+    return _step(int((x + M - 1) // 2), M, M_A)
 
 
 def preimage_count_pam(y, M_A: int, M_B: int) -> int:

@@ -10,10 +10,11 @@ Two schemes are implemented on top of the rank bit labeling of
   floor(guaranteed entropy of the peer's next symbol) ahead of time and
   keys the number of secret trailing bits off that.
 
-The auditor counts the exact joint distribution of the relay's observation
-and the secret content on rank intervals and reports mutual informations
-and posterior tables.  It reports measured values; in particular the
-variable-length semantic metric I(Y; (K, S)) is not assumed to be zero.
+The auditor counts ranks per secret-bit level on the rank interval behind
+each relay observation and reports exact mutual informations; the joint
+count and posterior tables behind them are built only when read.  It
+reports measured values; in particular the variable-length semantic
+metric I(Y; (K, S)) is not assumed to be zero.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import SecrecyBounds, Side, _guaranteed_count, _side_orders
-from .constellation import PamConstellation, _step, _validate_orders, make_pam
-from .info import mi_bits
+from .constellation import PamConstellation, _step_at, _validate_orders, make_pam
+from .info import _balanced_mi_bits
 
 __all__ = [
     "SecrecyPartition",
@@ -229,9 +230,13 @@ def decode_coop(
     """Bob-side decoder for the cooperative scheme.
 
     Bob recovers Alice's symbol as y - x_B and recomputes the secret-bit
-    count from his own symbol, since that is what Alice keyed it off.
+    count from his own symbol, since that is what Alice keyed it off: the
+    :func:`coop_level` of each symbol, with the orders checked once.
     """
-    return _split_labels(sums, own_symbols, make_pam(M_A), lambda x, own: coop_level(own, M_A, M_B))
+    _validate_orders(M_A, M_B)
+    return _split_labels(
+        sums, own_symbols, make_pam(M_A), lambda x, own: _step_at(own, M_B, M_A).bit_length() - 1
+    )
 
 
 def rate_coop(M_A: int, M_B: int) -> float:
@@ -262,7 +267,7 @@ SCHEMES = ("nocoop_alice", "nocoop_bob", "coop")
 
 @dataclass(frozen=True)
 class LeakageReport:
-    """Exact mutual-information figures and joint counts for a scheme.
+    """Exact mutual-information figures for a scheme, with its count tables.
 
     suffix_mi[j-1] is I(Y; suffix_j(X)) over the relay's full observation;
     semantic_mi is I(Y; (K, S)) with K the per-symbol secret-bit count and
@@ -270,7 +275,8 @@ class LeakageReport:
     observations |y| <= M_B - M_A.  suffix_counts[j-1] and semantic_counts
     are the (table, y values, secret keys) triples behind those figures, one
     row per reachable y and one column per occurring key, both ascending;
-    the posterior tables, keyed by observation, are computed from them on access.
+    they and the posterior tables, keyed by observation, are built on each
+    read, from the scheme and the orders.
     """
 
     scheme: str
@@ -278,8 +284,33 @@ class LeakageReport:
     semantic_mi: float
     flat_suffix_mi: tuple[float, ...]
     flat_semantic_mi: float
-    suffix_counts: tuple = field(repr=False, compare=False)
-    semantic_counts: tuple = field(repr=False, compare=False)
+    _orders: tuple[int, int] = field(repr=False, compare=False)
+
+    @property
+    def suffix_counts(self) -> tuple:
+        """((table, ys, keys) for j = 1..m_A): residues mod 2^j of the carrier's ranks per y."""
+        M_A, M_B = self._orders
+        ys, lo, hi = _rank_rows(self.scheme, M_A, M_B)
+        return tuple(
+            (_residues(lo, hi, j), ys, np.arange(1 << j)) for j in range(1, M_A.bit_length())
+        )
+
+    @property
+    def semantic_counts(self) -> tuple:
+        """(table, ys, keys): counts of (K, S) per y, keyed by the integer (1 << K) | S."""
+        M_A, M_B = self._orders
+        ys, lo, hi = _rank_rows(self.scheme, M_A, M_B)
+        M, edges = _level_edges(self.scheme, M_A, M_B)
+        s = np.arange(ys.size)
+        # the levels run from 0 up with no gap, so every key below 2 << max(K) occurs
+        table = np.zeros((ys.size, (2 << (edges.size - 2)) - 1), dtype=np.int64)
+        for k, (near, far) in enumerate(zip(edges[:-1], edges[1:])):
+            for a, b in ((near, far - 1), (M - far, M - 1 - near)):  # a run at each rim
+                first, last = (s - b, s - a) if self.scheme == "coop" else (a, b)
+                table[:, (1 << k) - 1 : (2 << k) - 1] += _residues(
+                    np.maximum(lo, first), np.minimum(hi, last), k
+                )
+        return table, ys, np.arange(1, 2 << (edges.size - 2))
 
     @property
     def suffix_posteriors(self) -> dict:
@@ -309,54 +340,74 @@ def _posterior(counts: tuple, decode) -> dict:
     }
 
 
+def _rank_rows(scheme: str, M_A: int, M_B: int) -> tuple:
+    """(ys, lo, hi): each reachable y and the carrier ranks [lo, hi] behind it.
+
+    y = x_A + x_B fixes the rank sum s = i + j, row s of the M_A + M_B - 1.
+    """
+    own, other = (M_B, M_A) if scheme == "nocoop_bob" else (M_A, M_B)
+    s = np.arange(M_A + M_B - 1)
+    return 2 * s - (M_A + M_B - 2), np.maximum(s - other + 1, 0), np.minimum(s, own - 1)
+
+
+def _level_edges(scheme: str, M_A: int, M_B: int) -> tuple:
+    """(M, edges) for the M-point alphabet whose rank sets the secret-bit level.
+
+    Level k holds its ranks t whose rim distance d = min(t, M - 1 - t) lies
+    in [edges[k], edges[k + 1]).  The non-cooperative level of :func:`build_partition` is k for
+    2^k <= d < 2^(k+1), 0 for d < 2 and m_A for d >= M_A; the `coop` level
+    is Bob's, log2 of the staircase min(d + 1, M_A), so the edges sit one
+    lower.  The last edge is M/2, past every d.
+    """
+    M = M_B if scheme != "nocoop_alice" else M_A
+    m_a = M_A.bit_length() - 1
+    edges = [(2 << k) - (scheme == "coop") for k in range(m_a)]
+    edges = [0, *(e for e in edges if e < M // 2), M // 2]
+    return M, np.array(edges)
+
+
+def _residues(lo, hi, k: int) -> np.ndarray:
+    """Per row, how many ranks in [lo, hi] are c mod 2^k, for each c; 0 if empty."""
+    c = np.arange(1 << k)
+    return np.maximum(((hi[:, None] - c) >> k) - ((lo[:, None] - 1 - c) >> k), 0)
+
+
 def audit_leakage(scheme: str, M_A: int, M_B: int) -> LeakageReport:
-    """Exact joint counts of what the relay's observation reveals.
+    """Exact mutual informations of what the relay's observation reveals.
 
     An observation y = x_A + x_B fixes the rank sum s = i + j, and the ranks
-    of the secret-carrying symbol behind it form one interval [lo, hi].  The
-    count of a j-bit label suffix, the rank mod 2^j, is a residue count on that
-    interval, and that of the secret content (K, S) is a sum of residue counts
-    on its pieces of constant level K.  Mutual informations are reported both
-    unconditionally and restricted to the flat region.
+    of the secret-carrying symbol behind it form one interval [lo, hi].  A
+    j-bit label suffix is the rank mod 2^j, and the secret content (K, S) is
+    a level K and the rank mod 2^K.  Within one level a row's counts are at
+    most one apart (see :func:`pnc.info._balanced_mi_bits`), so every figure
+    needs only the interval's length and its count of ranks per level: a
+    difference of per-level prefix counts over the ranks of the alphabet
+    that keys the level (Bob's ranks s - r in `coop`).  Mutual informations
+    are reported both unconditionally and restricted to the flat region.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}")
     _validate_orders(M_A, M_B)
-    own, other = (M_B, M_A) if scheme == "nocoop_bob" else (M_A, M_B)
-    s = np.arange(M_A + M_B - 1)
-    ys = 2 * s - (M_A + M_B - 2)
-    lo, hi = np.maximum(s - other + 1, 0), np.minimum(s, own - 1)
+    ys, lo, hi = _rank_rows(scheme, M_A, M_B)
+    M, edges = _level_edges(scheme, M_A, M_B)
+    # the ranks [t_lo, t_hi] that set the level behind each y: Bob's s - r in coop
+    s = np.arange(ys.size)
+    t_lo, t_hi = (s - hi, s - lo) if scheme == "coop" else (lo, hi)
 
-    def residues(lo, hi, k):
-        # per row, how many ranks in [lo, hi] are c mod 2^k, for each c; 0 if empty
-        c = np.arange(1 << k)
-        return np.maximum(((hi[:, None] - c) >> k) - ((lo[:, None] - 1 - c) >> k), 0)
+    def below(i):  # per level edge, how many ranks t < i have d < edge
+        i = i[:, None]
+        return np.minimum(i, edges) + np.maximum(i - (M - edges), 0)
 
-    def audit(table, keys):
-        return (table, ys, keys), mi_bits(table), mi_bits(table[np.abs(ys) <= M_B - M_A])
-
-    suffix_counts, suffix_mi, flat_suffix_mi = zip(
-        *(audit(residues(lo, hi, j), np.arange(1 << j)) for j in range(1, M_A.bit_length()))
-    )
-    if scheme == "coop":  # Bob's symbol sets the count: his rank s - r lies in a run [a, b]
-        level = np.array([_step(r, M_B, M_A).bit_length() - 1 for r in range(M_B)])
-    else:
-        level = np.array(build_partition(M_A, M_B, scheme.removeprefix("nocoop_")).levels)
-    # (K, S) as the single integer key (1 << K) | S, counted in column key; the
-    # levels run from 0 up with no gap, so every key below 2 << max(K) occurs
-    keys = np.arange(2 << level.max())
-    table = np.zeros((s.size, keys.size), dtype=np.int64)
-    ends = np.flatnonzero(np.diff(level, append=-1))  # the last rank of each run
-    for a, b, k in zip(np.r_[0, ends[:-1] + 1], ends, level[ends]):
-        first, last = (s - b, s - a) if scheme == "coop" else (a, b)
-        table[:, 1 << k : 2 << k] += residues(np.maximum(lo, first), np.minimum(hi, last), k)
-    semantic_counts, semantic_mi, flat_semantic_mi = audit(table[:, 1:], keys[1:])
+    per_level = np.diff(below(t_hi + 1) - below(t_lo), axis=1)
+    lengths = (hi - lo + 1)[:, None]
+    suffix_widths = (2 << np.arange(M_A.bit_length() - 1))[:, None]
+    level_widths = 1 << np.arange(edges.size - 1)
+    flat = np.abs(ys) <= M_B - M_A
     return LeakageReport(
         scheme=scheme,
-        suffix_mi=suffix_mi,
-        semantic_mi=semantic_mi,
-        flat_suffix_mi=flat_suffix_mi,
-        flat_semantic_mi=flat_semantic_mi,
-        suffix_counts=suffix_counts,
-        semantic_counts=semantic_counts,
+        suffix_mi=tuple(_balanced_mi_bits(lengths, suffix_widths).tolist()),
+        semantic_mi=float(_balanced_mi_bits(per_level, level_widths)),
+        flat_suffix_mi=tuple(_balanced_mi_bits(lengths[flat], suffix_widths).tolist()),
+        flat_semantic_mi=float(_balanced_mi_bits(per_level[flat], level_widths)),
+        _orders=(M_A, M_B),
     )

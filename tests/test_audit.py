@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pnc.constellation import make_pam
 from pnc.encoders import SCHEMES, audit_leakage, build_partition, coop_level
+from pnc.info import _balanced_mi_bits
 
 
 def brute_suffix_mi(M_A, M_B, side, j):
@@ -61,6 +62,13 @@ class TestSuffixLeakage:
     )
     def test_flat_region_is_exactly_zero_over_the_order_grid(self, scheme, M_A, M_B):
         assert audit_leakage(scheme, M_A, M_B).flat_suffix_mi == (0.0,) * (M_A.bit_length() - 1)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_flat_region_is_exactly_zero_at_4096_16384(self, scheme):
+        # the figures need no count table, so this order is cheap
+        r = audit_leakage(scheme, 4096, 16384)
+        assert r.flat_suffix_mi == (0.0,) * 12
+        assert (r.flat_semantic_mi == 0.0) == (scheme == "nocoop_alice")
 
     def test_flat_suffix_posterior_uniform(self):
         r = audit_leakage("nocoop_bob", 4, 16)
@@ -153,6 +161,79 @@ class TestCountTables:
             assert np.all(np.diff(keys) > 0)
             assert table.any(axis=0).all()  # no all-zero column
             assert table.sum() == M_A * M_B
+
+
+def level_groups(report):
+    """The semantic table's column blocks, one per level k: 2^k columns each."""
+    table = report.semantic_counts[0]
+    levels = (table.shape[1] + 1).bit_length() - 1
+    return [table[:, (1 << k) - 1 : (2 << k) - 1] for k in range(levels)]
+
+
+class TestBalancedTables:
+    """The premise of pnc.info._balanced_mi_bits, read off the count tables."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SCHEMES), st.integers(1, 8), st.sampled_from((2, 4, 8, 16)))
+    def test_level_counts_are_balanced(self, scheme, m_a, ratio):
+        M_A, M_B = 1 << m_a, ratio << m_a
+        r = audit_leakage(scheme, M_A, M_B)
+        ys = r.semantic_counts[1]
+        groups = level_groups(r) + [table for table, _, _ in r.suffix_counts]
+        for rows in (slice(None), np.abs(ys) <= M_B - M_A):  # full, then flat rows
+            for group in groups:
+                g = group[rows]
+                assert (g.max(axis=1) - g.min(axis=1) <= 1).all()  # one row: at most one apart
+                assert (g.sum(axis=0) == g.sum(axis=0)[0]).all()  # equal column sums
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("M_A,M_B", [(4, 16), (16, 32), (64, 256), (32, 512)])
+    def test_figures_are_the_kernel_on_the_tables_totals(self, scheme, M_A, M_B):
+        # the audit's per-level prefix counts are the tables' row sums per level
+        r = audit_leakage(scheme, M_A, M_B)
+        flat = np.abs(r.semantic_counts[1]) <= M_B - M_A
+        totals = np.stack([g.sum(axis=1) for g in level_groups(r)], axis=1)
+        widths = 1 << np.arange(totals.shape[1])
+        assert float(_balanced_mi_bits(totals, widths)) == r.semantic_mi
+        assert float(_balanced_mi_bits(totals[flat], widths)) == r.flat_semantic_mi
+        lengths = r.suffix_counts[0][0].sum(axis=1)[:, None]
+        suffix_widths = (2 << np.arange(M_A.bit_length() - 1))[:, None]
+        assert tuple(_balanced_mi_bits(lengths, suffix_widths).tolist()) == r.suffix_mi
+        assert tuple(_balanced_mi_bits(lengths[flat], suffix_widths).tolist()) == r.flat_suffix_mi
+
+
+def mpmath_mi(mpmath, table):
+    """I(A; B) in bits of an integer table, in mpmath at its working precision."""
+    t = np.asarray(table, dtype=np.int64)
+    rows, cols = t.sum(axis=1), t.sum(axis=0)
+    n = int(t.sum())
+    cells = np.stack([t.ravel(), np.repeat(rows, t.shape[1]), np.tile(cols, t.shape[0])], axis=1)
+    distinct, multiplicity = np.unique(cells[cells[:, 0] > 0], axis=0, return_counts=True)
+    total = mpmath.fsum(
+        m * c * mpmath.log(mpmath.mpf(c * n) / (r * k))
+        for (c, r, k), m in zip(distinct.tolist(), multiplicity.tolist())
+    )
+    return total / (n * mpmath.log(2))
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("M_A,M_B", [(64, 256), (128, 512)])
+    def test_figures_are_within_1e_15_of_mpmath(self, scheme, M_A, M_B):
+        mpmath = pytest.importorskip("mpmath")
+        r = audit_leakage(scheme, M_A, M_B)
+        flat = np.abs(r.semantic_counts[1]) <= M_B - M_A
+        tables = [table for table, _, _ in r.suffix_counts] + [r.semantic_counts[0]]
+        figures = [*r.suffix_mi, r.semantic_mi]
+        flat_figures = [*r.flat_suffix_mi, r.flat_semantic_mi]
+        with mpmath.workdps(50):
+            for table, figure, flat_figure in zip(tables, figures, flat_figures):
+                for got, rows in ((figure, table), (flat_figure, table[flat])):
+                    want = mpmath_mi(mpmath, rows)
+                    if got == 0.0:
+                        assert want == 0  # an exact zero is a factorizing table
+                    else:
+                        assert abs(got - want) <= 1e-15 * want, (got, want)
 
 
 class TestValidation:

@@ -2,6 +2,7 @@ import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,3 +237,9 @@ class TestStaircase:
     def test_order_1_is_refused(self, f):
         with pytest.raises(ValueError, match="power of two >= 2, got 1"):
             f(1, 2)
+
+    @pytest.mark.parametrize("orders", [(np.int64(4), np.int64(16)), (4, np.int64(16)), (4.0, 16)])
+    def test_an_order_that_is_not_an_int_is_refused_as_such(self, orders):
+        # a numpy integer once read as "constellation orders must be powers of two"
+        with pytest.raises(ValueError, match="PAM order must be an int, got "):
+            ub_pam(*orders)

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -54,6 +55,11 @@ class TestMakePam:
             make_pam(bad)
         with pytest.raises(ValueError, match="power of two"):
             PamConstellation(bad)
+
+    @pytest.mark.parametrize("order", [np.int64(4), 4.0])
+    def test_rejects_an_order_that_is_not_an_int(self, order):
+        with pytest.raises(ValueError, match="PAM order must be an int, got "):
+            make_pam(order)
 
     @given(st.integers(1, 12))
     def test_points_and_bits_follow_the_order(self, k):

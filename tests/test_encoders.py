@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pnc.bounds
+import pnc.constellation
+import pnc.encoders
 from pnc.bounds import compute_bounds, guaranteed_entropy_pam, ub_pam, ub_nocoop
 from pnc.constellation import make_pam
 from pnc.encoders import (
@@ -264,6 +267,28 @@ class TestCooperativeScheme:
     def test_decode_coop_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             decode_coop([1, 3, 5], [0], 4, 16)
+
+    def test_decode_coop_checks_the_orders_once(self, monkeypatch):
+        calls = []
+
+        def counted(M_A, M_B):
+            calls.append((M_A, M_B))
+            return check(M_A, M_B)
+
+        check = pnc.constellation._validate_orders
+        for module in (pnc.constellation, pnc.bounds, pnc.encoders):
+            monkeypatch.setattr(module, "_validate_orders", counted)
+        rng = random.Random(7)
+        own = [rng.choice(make_pam(16).points) for _ in range(1000)]
+        sums = [rng.choice(make_pam(4).points) + x for x in own]
+        decode_coop(sums, own, 4, 16)
+        assert calls == [(4, 16)]
+
+    def test_decode_coop_names_a_foreign_own_symbol(self):
+        # 3 - 2 = 1 is an Alice point, but Bob's 2 is no 16-PAM point
+        with pytest.raises(ValueError) as excinfo:
+            decode_coop([3], [2], 4, 16)
+        assert str(excinfo.value) == "2 is not in the 16-PAM constellation"
 
 
 DECODER_ORDERS = [(ma, k * ma) for ma in (2, 4, 8, 16, 32, 64) for k in (2, 4, 8)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pnc.info import conditional_mi_bits, joint_counts, mi_bits
+from pnc.info import _balanced_mi_bits, conditional_mi_bits, joint_counts, mi_bits
 
 weights = st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=12)
 # small enough to expand every count into that many key pairs
@@ -25,6 +25,59 @@ def big_tables(draw):
     u, v = factors
     offset = st.one_of(st.just(0), st.integers(0, 2**20))
     return [[a * b + draw(offset) for b in v] for a in u]
+
+
+@st.composite
+def balanced_tables(draw):
+    """(table, totals, widths): each group cuts one cyclic run of residues into rows.
+
+    Row y of group g holds the next totals[y, g] residues mod widths[g] of a
+    run whose length is a multiple of the width, so each row's counts are at
+    most one apart and every column of the group has the same sum.
+    """
+    n_rows = draw(st.integers(1, 5))
+    widths = draw(st.lists(st.sampled_from((1, 2, 4, 8)), min_size=1, max_size=3))
+    start = draw(st.integers(0, 7))
+    blocks, totals = [], []
+    for w in widths:
+        cuts = draw(st.lists(st.integers(0, 20), min_size=n_rows - 1, max_size=n_rows - 1))
+        cuts.append(-sum(cuts) % w + w * draw(st.integers(0, 2)))
+        residues = (start + np.arange(sum(cuts))) % w
+        edges = np.cumsum([0, *cuts])
+        blocks.append(
+            [np.bincount(residues[a:b], minlength=w) for a, b in zip(edges[:-1], edges[1:])]
+        )
+        totals.append(cuts)
+    table = np.hstack([np.array(rows).reshape(n_rows, -1) for rows in blocks])
+    return table, np.array(totals).T, widths
+
+
+class TestBalancedMiBits:
+    @given(balanced_tables())
+    def test_matches_the_table(self, case):
+        table, totals, widths = case
+        got, want = float(_balanced_mi_bits(totals, widths)), mi_bits(table)
+        assert (got == 0.0) == (want == 0.0)
+        assert got >= 0.0
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_empty_rows_and_groups_add_nothing(self):
+        # rows 2 and 4 hold every residue of a width-2 group once and twice
+        assert _balanced_mi_bits([[2, 0], [0, 0], [4, 0]], [2, 4]) == 0.0
+        assert _balanced_mi_bits([[1, 0], [0, 0], [3, 0]], [2, 4]) == pytest.approx(
+            mi_bits([[1, 0], [1, 2]]), rel=1e-12
+        )
+
+    def test_leading_axes_are_separate_tables(self):
+        totals = np.array([[1], [3], [4]])
+        widths = np.array([[2], [4], [8]])
+        batch = _balanced_mi_bits(totals, widths)
+        assert batch.shape == (3,)
+        assert batch.tolist() == [float(_balanced_mi_bits(totals, w)) for w in widths]
+
+    def test_refuses_counts_past_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            _balanced_mi_bits([[2**31], [2**30]], [2])
 
 
 class TestJointCounts:
