@@ -3,7 +3,6 @@
 from .bounds import (
     SecrecyBounds,
     compute_bounds,
-    csiszar_ub,
     guaranteed_entropy,
     guaranteed_entropy_pam,
     ub_generic,

@@ -9,23 +9,15 @@ Three families of bounds for the noiseless two-user relay channel:
   brute-force and closed-form;
 * the per-user no-cooperation bounds obtained by averaging guaranteed
   entropy over each constellation.
-
-Mutual informations are evaluated by :mod:`pnc.info` from integer
-counts, with logarithms applied only at the final step, so a true zero is
-distinguishable from rounding noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal
 
-import numpy as np
-
 from .constellation import SumProfile, _step, _step_at, _validate_orders, make_pam
-from .info import conditional_mi_bits, joint_counts, mi_bits
 
 __all__ = [
     "Side",
@@ -35,7 +27,6 @@ __all__ = [
     "guaranteed_entropy",
     "guaranteed_entropy_pam",
     "ub_nocoop",
-    "csiszar_ub",
     "compute_bounds",
 ]
 
@@ -119,29 +110,6 @@ def ub_nocoop(M_A: int, M_B: int) -> tuple[float, float]:
     _validate_orders(M_A, M_B)
     r_a, r_b = (sum(math.log2(_step(r, M, M_A)) for r in range(M)) / M for M in (M_A, M_B))
     return r_a, r_b
-
-
-def csiszar_ub(joint: dict) -> float:
-    """[I(Y_recv; X | X_other) - I(Y; X)]^+ from an exact finite joint pmf.
-
-    `joint` maps tuples (y, y_recv, x, x_other) of integer keys to exact
-    nonnegative rational probabilities (Fractions or ints) summing to
-    exactly 1.  Each outcome is weighted by its count over the common
-    denominator, which must fit an int64, and :mod:`pnc.info` evaluates
-    both terms from those integer counts.  The positive-part clamp is
-    applied to the difference, never per term.
-    """
-    probs = [Fraction(p) for p in joint.values()]
-    if sum(probs) != 1 or min(probs) < 0:
-        raise ValueError("joint distribution must be nonnegative and sum to exactly 1")
-    denom = math.lcm(*(p.denominator for p in probs))
-    if denom > np.iinfo(np.int64).max:
-        raise ValueError(f"common denominator {denom} does not fit an int64")
-    counts = [p.numerator * (denom // p.denominator) for p in probs]
-    y, y_recv, x, x_other = np.asarray(list(joint)).T
-    keep = conditional_mi_bits(x, y_recv, x_other, counts)
-    leak = mi_bits(joint_counts(y, x, counts))
-    return max(keep - leak, 0.0)
 
 
 def compute_bounds(M_A: int, M_B: int) -> SecrecyBounds:

@@ -4,7 +4,7 @@ Scalar reports are emitted as JSON, data series as CSV with a header row
 and 12-significant-digit floats.  Exit codes: 0 success, 2 usage error
 (including a flag that the chosen mode ignores, a missing flag that it
 needs, or a --csv path that cannot be opened or written), 3 infeasible
-parameters.
+parameters or out of memory.
 """
 
 from __future__ import annotations
@@ -287,7 +287,8 @@ def run(argv=None, out=None, err=None) -> int:
 
     The command's text goes to the --csv file, opened before the work as
     `> PATH` would, or else to `out`; messages go to `err`.  A --csv file
-    that cannot be opened, written or closed exits 2.  The streams
+    that cannot be opened, written or closed exits 2, and a command that
+    runs out of memory exits 3 with one line on `err`.  The streams
     default to sys.stdout and sys.stderr as they are at the call.
     """
     out = sys.stdout if out is None else out
@@ -324,6 +325,10 @@ def run(argv=None, out=None, err=None) -> int:
             return _cannot_write(err, path, exc)
     except (ValueError, enc_mod.QueueUnderflow) as exc:
         err.write(f"error: {exc}\n")
+        return EXIT_INFEASIBLE
+    except MemoryError as exc:
+        # numpy's message states the size it could not allocate; a bare one has none
+        err.write(f"error: {args.command} ran out of memory{f': {exc}' if str(exc) else ''}\n")
         return EXIT_INFEASIBLE
     return EXIT_OK
 

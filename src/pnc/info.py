@@ -1,8 +1,8 @@
 """Exact mutual information from integer joint counts.
 
-Observations and secrets are turned into integer keys by their callers;
-this module tabulates how often each pair of keys occurs, weighted by an
-integer count per position, and evaluates I(A; B) from those counts.
+Observations and secrets are turned into integer keys by their callers,
+which tabulate how often each pair of keys occurs; this module evaluates
+I(A; B) from those counts.
 Independence is decided in integer arithmetic for any table whose total
 fits an int64, so a returned 0.0 is a true zero and never a rounding
 artifact; logarithms are applied only to dependent tables.
@@ -18,28 +18,7 @@ import math
 
 import numpy as np
 
-__all__ = ["joint_counts", "mi_bits", "conditional_mi_bits"]
-
-
-def joint_counts(a_keys, b_keys, weights=1) -> np.ndarray:
-    """Contingency table of two aligned integer key arrays.
-
-    table[i, j] sums, in int64, the integer weights of the positions where
-    a_keys holds its i-th smallest distinct value and b_keys its j-th.  Only
-    values that occur get a row or a column (an all-zero one if all their
-    weights are 0), so the table's size follows the data, not the range of
-    the keys.
-    """
-    a_keys = np.asarray(a_keys).ravel()
-    b_keys = np.asarray(b_keys).ravel()
-    if a_keys.shape != b_keys.shape:
-        raise ValueError(f"key arrays differ in length: {a_keys.size} != {b_keys.size}")
-    a_values, a_idx = np.unique(a_keys, return_inverse=True)
-    b_values, b_idx = np.unique(b_keys, return_inverse=True)
-    shape = (a_values.size, b_values.size)
-    flat = np.zeros(shape[0] * shape[1], dtype=np.int64)
-    np.add.at(flat, a_idx * shape[1] + b_idx, weights)
-    return flat.reshape(shape)
+__all__ = ["mi_bits"]
 
 
 def mi_bits(table) -> float:
@@ -142,8 +121,8 @@ def _balanced_mi_bits(totals, widths) -> np.ndarray:
     two pieces cover residues 0..2^k - 2 and 1..2^k - 1.  Columns: over
     all rows each carrier rank occurs equally often and a level's carrier
     ranks are whole periods (in `coop` every carrier rank meets every Bob
-    rank).  Over the flat rows a rim run weights residue c by an affine
-    function of c and its mirror run weights residue -1 - c alike, so
+    rank).  Over the flat rows a rim run scales residue c by an affine
+    function of c and its mirror run scales residue -1 - c alike, so
     every residue of a level has the same total.
 
     Raises ValueError unless (max row total + max width) * n < 2^62, which
@@ -181,25 +160,3 @@ def _balanced_mi_bits(totals, widths) -> np.ndarray:
         total += np.sum(d / nw * (r * phi[0] + (widths - r) * phi[1]), axis=(-2, -1))
     return np.where(dependent, total / (n[..., 0, 0] * math.log(2)), 0.0)
 
-
-def conditional_mi_bits(a_keys, b_keys, given, weights=1) -> float:
-    """I(A; B | C) in bits from three aligned integer key arrays.
-
-    The mean of :func:`mi_bits` over the slices given == c, weighted by
-    each slice's total weight, so it is exactly 0.0 when every slice's
-    table factorizes.  `weights` are integer counts per position, as in
-    :func:`joint_counts`.
-    """
-    a_keys, b_keys, given = (np.asarray(k).ravel() for k in (a_keys, b_keys, given))
-    if not a_keys.shape == b_keys.shape == given.shape:
-        raise ValueError("key arrays differ in length")
-    weights = np.broadcast_to(weights, given.shape)
-    n = int(weights.sum())
-    if n == 0:
-        return 0.0
-    total = 0.0
-    for c in np.unique(given):
-        in_slice = given == c
-        table = joint_counts(a_keys[in_slice], b_keys[in_slice], weights[in_slice])
-        total += int(table.sum()) * mi_bits(table)
-    return total / n

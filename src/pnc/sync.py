@@ -76,7 +76,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constellation import _validate_orders
-from .info import joint_counts, mi_bits
+from .info import mi_bits
 
 __all__ = ["SyncParams", "alpha_beta", "ub_with_sync", "sync_sweep"]
 
@@ -244,7 +244,10 @@ def _bound(M_A: int, M_B: int, y_forms, u_forms, box=None) -> float:
         h = _interval_lengths(M_A, M_B)[2:]
         return float(np.sum(h * (L * np.log2(L)))) / (M_A * M_B) ** 2
     i, i_prev = np.indices((M_A, M_A))
-    i_receiver = mi_bits(joint_counts(_key(u_forms, (i, i_prev - i)), i))
+    # (U class, X_A) counts, from raveled keys: numpy versions differ on np.unique's 2-D inverse
+    u = _class_ids(_key(u_forms, (i, i_prev - i)).ravel())
+    u_table = np.bincount(u * M_A + i.ravel(), minlength=(int(u.max()) + 1) * M_A)
+    i_receiver = mi_bits(u_table.reshape(-1, M_A))
     i_ray = mi_bits(_relay_table(M_A, y_forms, _box(M_A, M_B) if box is None else box))
     return max(i_receiver - i_ray, 0.0)
 

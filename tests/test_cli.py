@@ -298,6 +298,21 @@ class TestSyncSweep:
         with pytest.raises(OSError, match="the command failed"):
             invoke(["sync-sweep", *ORDERS, "--csv", str(tmp_path / "x.csv")])
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("figure sync_err", "170f0914b55d8f75a0501824db5d6a7793597444635140d2555b111c049b6bd9"),
+            ("sync-sweep --ma 8 --mb 32 --step 0.05", "14df7fd1dca403868b5deb539da523f602a26ac3faf813f5a4c7f82e347fb0dd"),
+            ("sync-sweep --ma 32 --mb 64 --step 0.5", "4d6742dbeb497a73450c8b1c285ce3ea204940bded02068c0c2880268100dba9"),
+            ("sync-sweep --ma 16 --mb 64 --step 0.05", "1ffd473822bb07591e1ccfd364fa42a77d1701785467db3937aa4e7db55ac69b"),
+        ],
+    )
+    def test_bytes_are_pinned(self, argv, digest):
+        # any exact counting of the observation-class tables must give these bytes
+        code, out, err = invoke(argv.split())
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "x"])
     def test_non_positive_step_exit_2(self, step):
         code, out, err = invoke(["sync-sweep", "--ma", "4", "--mb", "16", "--step", step])
@@ -483,6 +498,33 @@ class TestStreams:
         assert err.getvalue() == ""
         assert capsys.readouterr() == ("", "")
 
+
+class TestOutOfMemory:
+    """A command that runs out of memory exits 3 with one line and writes no output."""
+
+    @pytest.mark.parametrize(
+        "exc,line",
+        [
+            (
+                MemoryError("Unable to allocate 1.56 GiB for an array"),
+                "error: sync-sweep ran out of memory: Unable to allocate 1.56 GiB for an array\n",
+            ),
+            (MemoryError(), "error: sync-sweep ran out of memory\n"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    @pytest.mark.parametrize("to_csv", [False, True], ids=["stdout", "csv"])
+    def test_exit_3_with_one_line(self, exc, line, to_csv, tmp_path, monkeypatch):
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(pnc.sync, "sync_sweep", exhausted)
+        path = tmp_path / "x.csv"
+        path.write_text("old\n")
+        csv_flag = ["--csv", str(path)] if to_csv else []
+        code, out, err = invoke(["sync-sweep", *ORDERS, "--step", "0.5", *csv_flag])
+        assert (code, out, err) == (EXIT_INFEASIBLE, "", line)
+        assert path.read_text() == ("" if to_csv else "old\n")
 
 
 ORDERS = ["--ma", "4", "--mb", "16"]

@@ -1,16 +1,13 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pnc.info import _balanced_mi_bits, conditional_mi_bits, joint_counts, mi_bits
+from pnc.info import _balanced_mi_bits, mi_bits
 
 weights = st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=12)
-# small enough to expand every count into that many key pairs
-small_weights = st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=6)
 
 
 @st.composite
@@ -80,37 +77,6 @@ class TestBalancedMiBits:
             _balanced_mi_bits([[2**31], [2**30]], [2])
 
 
-class TestJointCounts:
-    def test_counts_occurring_values_only(self):
-        # rows -3, 10**12 and columns 0, 7: the occurring values, ascending
-        table = joint_counts([10**12, -3, -3, 10**12], [7, 7, 0, 7])
-        assert table.dtype == np.int64
-        assert table.tolist() == [[1, 1], [0, 2]]
-
-    @given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-(2**40), 2**40)), min_size=1))
-    def test_matches_pair_counter(self, pairs):
-        a, b = zip(*pairs)
-        counts = Counter(pairs)
-        assert joint_counts(a, b).tolist() == [
-            [counts[(u, v)] for v in sorted(set(b))] for u in sorted(set(a))
-        ]
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            joint_counts([1, 2, 3], [1, 2])
-
-    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 20)), min_size=1))
-    def test_weights_count_repeated_keys(self, triples):
-        a, b, w = map(np.array, zip(*triples))
-        table = joint_counts(a, b, w)
-        rep_table = joint_counts(np.repeat(a, w), np.repeat(b, w))
-        # a value that occurs only with weight 0 keeps an all-zero row or column
-        rows, cols = table.any(axis=1), table.any(axis=0)
-        assert table[rows][:, cols].tolist() == rep_table.tolist()
-        assert table.shape == (len(set(a.tolist())), len(set(b.tolist())))
-        assert table.sum() == w.sum()
-
-
 class TestMiBits:
     @given(weights, weights)
     def test_product_table_is_exactly_zero(self, u, v):
@@ -153,48 +119,3 @@ class TestMiBits:
             reference = math.fsum(c / n * math.log2(c * n / (r * k)) for c, r, k in cells if c)
             assert mi_bits(table) == pytest.approx(reference, rel=1e-12, abs=1e-13)
 
-
-def keys_of_table(table):
-    """Aligned (row, column) key arrays holding each cell's count of pairs."""
-    table = np.asarray(table)
-    rows, cols = np.indices(table.shape)
-    return np.repeat(rows.ravel(), table.ravel()), np.repeat(cols.ravel(), table.ravel())
-
-
-class TestConditionalMiBits:
-    @given(st.lists(st.tuples(small_weights, small_weights), min_size=1, max_size=5))
-    def test_product_slices_are_exactly_zero(self, slices):
-        a, b, c = [], [], []
-        for z, (u, v) in enumerate(slices):
-            a_z, b_z = keys_of_table(np.outer(u, v))
-            a.append(a_z)
-            b.append(b_z)
-            c.append(np.full(a_z.size, z))
-        assert conditional_mi_bits(np.concatenate(a), np.concatenate(b), np.concatenate(c)) == 0.0
-
-    def test_xor_is_one_bit_given_the_key(self):
-        x, z = (k.ravel() for k in np.indices((2, 2)))
-        y = x ^ z
-        assert mi_bits(joint_counts(x, y)) == 0.0
-        assert conditional_mi_bits(x, y, z) == 1.0
-
-    def test_slices_weighted_by_size(self):
-        # a 1-bit copy channel on 2 of 8 outcomes, a constant on the other 6
-        a = [0, 1, 0, 0, 0, 0, 0, 0]
-        given = [0, 0, 1, 1, 1, 1, 1, 1]
-        assert conditional_mi_bits(a, a, given) == 0.25
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            conditional_mi_bits([1, 2], [1, 2], [0])
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 6)),
-            min_size=1,
-        )
-    )
-    def test_weights_match_repeated_keys_bit_for_bit(self, quads):
-        a, b, c, w = map(np.array, zip(*quads))
-        repeated = (np.repeat(k, w) for k in (a, b, c))
-        assert conditional_mi_bits(a, b, c, w) == conditional_mi_bits(*repeated)
