@@ -92,14 +92,9 @@ def guaranteed_entropy_pam(x: int, side: Side, M_A: int, M_B: int) -> float:
     of its side's M-PAM alphabet (M = M_A for Alice, M_B for Bob) and
     d = (M - 1 - |x|) / 2 is its distance in steps from the nearer rim.
     """
-    return math.log2(_guaranteed_count(x, side, M_A, M_B))
-
-
-def _guaranteed_count(x: int, side: Side, M_A: int, M_B: int) -> int:
-    """Fewest preimages of x + x_o over the other user's points x_o: the staircase at x."""
     _validate_orders(M_A, M_B)
     M, _ = _side_orders(side, M_A, M_B)
-    return _step_at(x, M, M_A)
+    return math.log2(_step_at(x, M, M_A))
 
 
 def ub_nocoop(M_A: int, M_B: int) -> tuple[float, float]:

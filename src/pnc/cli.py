@@ -4,15 +4,14 @@ Scalar reports are emitted as JSON, data series as CSV with a header row
 and 12-significant-digit floats.  Exit codes: 0 success, 2 usage error
 (including a flag that the chosen mode ignores, a missing flag that it
 needs, or a --csv path that cannot be opened or written), 3 infeasible
-parameters or out of memory.
+parameters, out of memory, or a number too large for the computation
+(OverflowError).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import math
 import sys
@@ -41,11 +40,8 @@ def _fmt(v) -> str:
 
 
 def _csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    return buf.getvalue()
+    """One comma-joined line per row, the header first; no field holds a comma or a quote."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
 
 
 def _profile_rows(ma: int, mb: int):
@@ -288,8 +284,8 @@ def run(argv=None, out=None, err=None) -> int:
     The command's text goes to the --csv file, opened before the work as
     `> PATH` would, or else to `out`; messages go to `err`.  A --csv file
     that cannot be opened, written or closed exits 2, and a command that
-    runs out of memory exits 3 with one line on `err`.  The streams
-    default to sys.stdout and sys.stderr as they are at the call.
+    runs out of memory or overflows exits 3 with one line on `err`.  The
+    streams default to sys.stdout and sys.stderr as they are at the call.
     """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
@@ -323,12 +319,13 @@ def run(argv=None, out=None, err=None) -> int:
             if text is None or not path:
                 raise
             return _cannot_write(err, path, exc)
-    except (ValueError, enc_mod.QueueUnderflow) as exc:
+    except ValueError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
-    except MemoryError as exc:
+    except (MemoryError, OverflowError) as exc:
         # numpy's message states the size it could not allocate; a bare one has none
-        err.write(f"error: {args.command} ran out of memory{f': {exc}' if str(exc) else ''}\n")
+        what = "ran out of memory" if isinstance(exc, MemoryError) else "overflowed"
+        err.write(f"error: {args.command} {what}{f': {exc}' if str(exc) else ''}\n")
         return EXIT_INFEASIBLE
     return EXIT_OK
 

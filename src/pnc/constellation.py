@@ -19,6 +19,7 @@ __all__ = [
     "SumProfile",
     "make_pam",
     "sum_profile",
+    "pam_sum_profile",
     "preimage_count_pam",
 ]
 

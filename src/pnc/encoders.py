@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import SecrecyBounds, Side, _guaranteed_count, _side_orders
+from .bounds import SecrecyBounds, Side, _side_orders
 from .constellation import PamConstellation, _step_at, _validate_orders, make_pam
 from .info import _balanced_mi_bits
 
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-class QueueUnderflow(RuntimeError):
+class QueueUnderflow(ValueError):
     """A bit queue ran dry; carries the index of the symbol being formed."""
 
     def __init__(self, which: str, symbol_index: int):
@@ -203,7 +203,13 @@ def coop_level(x_B: int, M_A: int, M_B: int) -> int:
 
     The floor of Bob's guaranteed entropy at x_B, in integer arithmetic.
     """
-    return _guaranteed_count(x_B, "bob", M_A, M_B).bit_length() - 1
+    _validate_orders(M_A, M_B)
+    return _coop_level(x_B, M_A, M_B)
+
+
+def _coop_level(x_B: int, M_A: int, M_B: int) -> int:
+    """:func:`coop_level` with the orders unchecked: floor(log2) of Bob's staircase at x_B."""
+    return _step_at(x_B, M_B, M_A).bit_length() - 1
 
 
 def encode_coop(
@@ -235,7 +241,7 @@ def decode_coop(
     """
     _validate_orders(M_A, M_B)
     return _split_labels(
-        sums, own_symbols, make_pam(M_A), lambda x, own: _step_at(own, M_B, M_A).bit_length() - 1
+        sums, own_symbols, make_pam(M_A), lambda x, own: _coop_level(own, M_A, M_B)
     )
 
 
@@ -379,11 +385,30 @@ def audit_leakage(scheme: str, M_A: int, M_B: int) -> LeakageReport:
     of the secret-carrying symbol behind it form one interval [lo, hi].  A
     j-bit label suffix is the rank mod 2^j, and the secret content (K, S) is
     a level K and the rank mod 2^K.  Within one level a row's counts are at
-    most one apart (see :func:`pnc.info._balanced_mi_bits`), so every figure
-    needs only the interval's length and its count of ranks per level: a
-    difference of per-level prefix counts over the ranks of the alphabet
-    that keys the level (Bob's ranks s - r in `coop`).  Mutual informations
-    are reported both unconditionally and restricted to the flat region.
+    most one apart, so every figure needs only the interval's length and
+    its count of ranks per level: a difference of per-level prefix counts
+    over the ranks of the alphabet that keys the level (Bob's ranks s - r
+    in `coop`).  Mutual informations are reported both unconditionally and
+    restricted to the flat region.
+
+    The tables are balanced, as :func:`pnc.info._balanced_mi_bits` requires.
+    A row is an interval of carrier ranks, a secret's column is its level k
+    and the rank mod 2^k, and a level holds the ranks whose rim distance
+    lies in one range: a run in from each rim, or one run in the middle.
+    Rows: in the non-cooperative schemes each rim run is a whole aligned
+    period [2^k, 2^(k+1)) and the gaps between runs are whole periods, so a
+    row's level-k ranks, read in order, are consecutive residues mod 2^k and
+    hit each residue q or q + 1 times.  In `coop` the level is Bob's; his
+    rim runs [2^k - 1, 2^(k+1) - 1) are 2^k consecutive ranks each, and a
+    row spans at most M_A consecutive Bob ranks, so it meets a level in one
+    piece of consecutive ranks, except when M_B = 2 M_A and 2^k = M_A / 2:
+    then the row of Bob ranks [M_A/2, 3 M_A/2) meets both runs, and its two
+    pieces cover residues 0..2^k - 2 and 1..2^k - 1.  Columns: over all rows
+    each carrier rank occurs equally often and a level's carrier ranks are
+    whole periods (in `coop` every carrier rank meets every Bob rank).  Over
+    the flat rows a rim run scales residue c by an affine function of c and
+    its mirror run scales residue -1 - c alike, so every residue of a level
+    has the same total.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}")

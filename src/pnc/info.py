@@ -106,25 +106,6 @@ def _balanced_mi_bits(totals, widths) -> np.ndarray:
     of x0 is 0, decided in integers before any logarithm; rows and groups
     with no counts add nothing.
 
-    The leakage audit's tables are balanced.  A row is an interval of
-    carrier ranks, a secret's column is its level k and the rank mod 2^k,
-    and a level holds the ranks whose rim distance lies in one range: a
-    run in from each rim, or one run in the middle.  Rows: in the
-    non-cooperative schemes each rim run is a whole aligned period
-    [2^k, 2^(k+1)) and the gaps between runs are whole periods, so a row's
-    level-k ranks, read in order, are consecutive residues mod 2^k and hit
-    each residue q or q + 1 times.  In `coop` the level is Bob's; his rim
-    runs [2^k - 1, 2^(k+1) - 1) are 2^k consecutive ranks each, and a row
-    spans at most M_A consecutive Bob ranks, so it meets a level in one
-    piece of consecutive ranks, except when M_B = 2 M_A and 2^k = M_A / 2:
-    then the row of Bob ranks [M_A/2, 3 M_A/2) meets both runs, and its
-    two pieces cover residues 0..2^k - 2 and 1..2^k - 1.  Columns: over
-    all rows each carrier rank occurs equally often and a level's carrier
-    ranks are whole periods (in `coop` every carrier rank meets every Bob
-    rank).  Over the flat rows a rim run scales residue c by an affine
-    function of c and its mirror run scales residue -1 - c alike, so
-    every residue of a level has the same total.
-
     Raises ValueError unless (max row total + max width) * n < 2^62, which
     keeps every integer above, and 2 R_y N_g plus a numerator, in an int64.
     """

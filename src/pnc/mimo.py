@@ -83,10 +83,6 @@ class PrecoderProblem:
     def N(self) -> int:
         return self.H_A.shape[1]
 
-    @property
-    def d(self) -> int:
-        return 2 * self.N - self.M
-
 
 @dataclass(frozen=True)
 class PrecoderPair:
@@ -183,19 +179,21 @@ def _inverse(h: np.ndarray) -> np.ndarray:
 
 
 def _zf(
-    h_a: np.ndarray, h_b: np.ndarray, basis: np.ndarray | None
+    h_a: np.ndarray, h_b: np.ndarray, basis: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing precoders (G_A, G_B) of each channel pair of a stack (T, M, N).
 
-    Square channels use their inverses; otherwise `basis` (from
-    :func:`nullspace_basis`) is split into its two N-row blocks.  Either
-    pair is rescaled so that the larger of the two powers is N, each norm
-    taken of a view into the stack, as `np.linalg.norm` of that matrix alone.
+    Square channels use their inverses; otherwise the nullspace basis
+    (`basis` if given, else :func:`nullspace_basis` of the stack) is split
+    into its two N-row blocks.  Either pair is rescaled so that the larger
+    of the two powers is N, each norm taken of a view into the stack, as
+    `np.linalg.norm` of that matrix alone.
     """
     n = h_a.shape[-1]
     if h_a.shape[-2] == n:
         e_a, e_b = _inverse(h_a), _inverse(h_b)
     else:
+        basis = nullspace_basis(h_a, h_b) if basis is None else basis
         e_a, e_b = basis[..., :n, :], basis[..., n:, :]
     gamma = np.array([max(np.linalg.norm(a), np.linalg.norm(b)) for a, b in zip(e_a, e_b)])
     return math.sqrt(n) * e_a / gamma[:, None, None], math.sqrt(n) * e_b / gamma[:, None, None]
@@ -209,9 +207,7 @@ def zf_precoders(problem: PrecoderProblem) -> PrecoderPair:
     otherwise the top and bottom N-row blocks of the nullspace basis
     become G_A and G_B.
     """
-    h_a, h_b = problem.H_A[None], problem.H_B[None]
-    basis = None if problem.M == problem.N else nullspace_basis(h_a, h_b)
-    g_a, g_b = _zf(h_a, h_b, basis)
+    g_a, g_b = _zf(problem.H_A[None], problem.H_B[None])
     return PrecoderPair(g_a=g_a[0], g_b=g_b[0])
 
 
@@ -381,7 +377,7 @@ def _best(h_a: np.ndarray, h_b: np.ndarray, snrs: np.ndarray) -> tuple[np.ndarra
     """
     _, m, n = h_a.shape
     d = 2 * n - m
-    basis = nullspace_basis(h_a, h_b) if d > 1 or m != n else None
+    basis = nullspace_basis(h_a, h_b) if d > 1 else None
     g_a, g_b = _zf(h_a, h_b, basis)
     # ZF is independent of the SNR: one precoder per channel, one capacity per channel x SNR
     caps = capacity(h_a[:, None], g_a[:, None], snrs)
@@ -453,7 +449,7 @@ def ergodic_capacity_mc(
     if method == "optimized":
         caps = _best(h_a, h_b, snrs)[1]
     else:
-        g_a = _zf(h_a, h_b, None if M == N else nullspace_basis(h_a, h_b))[0]
+        g_a = _zf(h_a, h_b)[0]
         caps = capacity(h_a[:, None], g_a[:, None], snrs)
     # running sums in trial order, as a per-trial loop would add them
     sums = np.cumsum(caps, axis=0)[-1]

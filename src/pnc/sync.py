@@ -213,10 +213,14 @@ def _class_ids(key: np.ndarray) -> np.ndarray:
     return (np.cumsum(occupied) - 1)[offset]
 
 
-def _relay_table(M_A: int, y_forms, box) -> np.ndarray:
-    """Joint counts of (X_A, Y class): row i counts each class's cells reached by rank i."""
+def _relay_table(M_A: int, forms, box) -> np.ndarray:
+    """Joint counts of (X_A, class): row i counts each class's cells reached by rank i.
+
+    box is (*coords, lo, hi), one-dimensional arrays over the cells as _box
+    gives them; the forms key the coordinates into classes.
+    """
     *coords, lo, hi = box
-    cls = _class_ids(_key(y_forms, coords))
+    cls = _class_ids(_key(forms, coords))
     n = int(cls.max()) + 1
 
     def events(ranks):
@@ -243,11 +247,10 @@ def _bound(M_A: int, M_B: int, y_forms, u_forms, box=None) -> float:
         L = np.arange(2, M_A + 1)
         h = _interval_lengths(M_A, M_B)[2:]
         return float(np.sum(h * (L * np.log2(L)))) / (M_A * M_B) ** 2
-    i, i_prev = np.indices((M_A, M_A))
-    # (U class, X_A) counts, from raveled keys: numpy versions differ on np.unique's 2-D inverse
-    u = _class_ids(_key(u_forms, (i, i_prev - i)).ravel())
-    u_table = np.bincount(u * M_A + i.ravel(), minlength=(int(u.max()) + 1) * M_A)
-    i_receiver = mi_bits(u_table.reshape(-1, M_A))
+    # U over the cells (x_A, x_A_prev - x_A), each reached by its rank x_A alone;
+    # mi_bits reads the transpose with the U classes on the rows
+    i, i_prev = np.indices((M_A, M_A)).reshape(2, -1)
+    i_receiver = mi_bits(_relay_table(M_A, u_forms, (i, i_prev - i, i, i)).T)
     i_ray = mi_bits(_relay_table(M_A, y_forms, _box(M_A, M_B) if box is None else box))
     return max(i_receiver - i_ray, 0.0)
 

@@ -1,14 +1,31 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pnc.encoders
 import pnc.sync
-from pnc.cli import DEFAULT_SEED, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _profile_rows, run
+from pnc.cli import (
+    DEFAULT_SEED,
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    EXIT_USAGE,
+    FIGURES,
+    _csv,
+    _fmt,
+    _profile_rows,
+    run,
+)
 from pnc.constellation import pam_sum_profile
+from pnc.encoders import QueueUnderflow
 
 
 def invoke(argv):
@@ -500,7 +517,7 @@ class TestStreams:
 
 
 class TestOutOfMemory:
-    """A command that runs out of memory exits 3 with one line and writes no output."""
+    """A command that runs out of memory or overflows exits 3 with one line and no output."""
 
     @pytest.mark.parametrize(
         "exc,line",
@@ -510,8 +527,10 @@ class TestOutOfMemory:
                 "error: sync-sweep ran out of memory: Unable to allocate 1.56 GiB for an array\n",
             ),
             (MemoryError(), "error: sync-sweep ran out of memory\n"),
+            (OverflowError("math range error"), "error: sync-sweep overflowed: math range error\n"),
+            (OverflowError(), "error: sync-sweep overflowed\n"),
         ],
-        ids=["numpy-message", "bare"],
+        ids=["numpy-message", "bare", "overflow-message", "overflow-bare"],
     )
     @pytest.mark.parametrize("to_csv", [False, True], ids=["stdout", "csv"])
     def test_exit_3_with_one_line(self, exc, line, to_csv, tmp_path, monkeypatch):
@@ -569,3 +588,142 @@ class TestIgnoredFlags:
     )
     def test_flags_the_mode_reads_still_work(self, line):
         assert invoke(line.split())[0] == EXIT_OK
+
+
+def test_csv_text_is_what_the_csv_module_writes():
+    # no header or _fmt field holds a comma, a quote or a newline, so joining needs no quoting
+    rows = [(0, 1.0, "zf"), (-5, 1e-300, "optimized"), (3, 2.0 / 3, 10**20), (1, float("nan"), "")]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("a", "b", "c"))
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    assert _csv(("a", "b", "c"), rows) == buf.getvalue()
+
+
+def test_huge_valid_orders_exit_3():
+    # 2^63 and 2^64 pass the order check, but 2^63 points do not fit a Python sequence
+    argv = ["encode", "--ma", str(2**63), "--mb", str(2**64), "--scheme", "coop", "--levels", "0"]
+    code, out, err = invoke([*argv, "--public", "0"])
+    assert (code, out) == (EXIT_INFEASIBLE, "")
+    assert err.startswith("error: encode overflowed: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_queue_underflow_is_refused_as_a_value_error(monkeypatch):
+    # run has one refusal clause, ValueError, and a short queue is one
+    assert issubclass(QueueUnderflow, ValueError)
+
+    def short(*args, **kwargs):
+        raise QueueUnderflow("secret", 7)
+
+    monkeypatch.setattr(pnc.encoders, "encode_stream", short)
+    code, out, err = invoke(["encode", *ORDERS, "--scheme", "nocoop", "--public", "0"])
+    assert (code, out, err) == (
+        EXIT_INFEASIBLE, "", "error: secret bit queue exhausted while forming symbol 7\n"
+    )
+
+
+# --- argv-grammar fuzz ---------------------------------------------------------
+#
+# Each subcommand's flags, present or absent, with values drawn from valid,
+# boundary, negative, non-numeric, nan, inf and huge ones.  Left out on
+# purpose: huge orders that pass the checks (--ma 4 --mb 2^70, say) and
+# steps below 0.1.  profile, bounds and encode --scheme nocoop loop over the
+# M ranks in Python and sync-sweep over (1/step)^2 offsets, and no command
+# checks its size before the work yet, so such a run would not end.  Each
+# huge value below is refused or costs nothing: 3 * 2^69 is no power of two,
+# 2^70 as M_A leaves no M_B >= 2 M_A in the pool, 10^30 antennas leave
+# N > M or 2N - M < 1 (which --dim reports in one line), a huge --levels
+# entry is out of range and numpy takes a huge seed as it takes a small one.
+# Orders that run stay <= 2^6, --trials <= 3, antennas <= 5 and --step >= 0.1.
+
+ABSENT = object()
+HUGE = str(3 * 2**69)
+_JUNK = ["x", "nan", "inf", "-inf", "1e3", ""]
+# flag: (valid values, boundary, negative, non-numeric and huge ones)
+_FLAG_VALUES = {
+    "--ma": (["2", "4", "8", "16", "32"], ["64", "1", "0", "3", "-4", HUGE, str(2**70), *_JUNK]),
+    "--mb": (["4", "8", "16", "32", "64"], ["2", "1", "0", "6", "-16", HUGE, *_JUNK]),
+    "--scheme": (["nocoop", "coop"], ["bogus"]),
+    "--side": (["alice", "bob"], ["carol"]),
+    "--public": (["", "0", "0110", "01101001"], ["012", "x"]),
+    "--secret": (["", "1", "1001", "11110110"], ["2", " 1"]),
+    "--levels": (["0", "1", "2,1", "3,2,2"], ["-1", "99", HUGE, "1,,2", *_JUNK]),
+    "--step": (["0.1", "0.25", "0.5"], ["0.50001", "0", "-0.1", "1e308", *_JUNK]),
+    "--m": (["1", "2", "3", "4", "5"], ["0", "-2", str(10**30), *_JUNK]),
+    "--n": (["1", "2", "3", "4"], ["0", "-1", str(10**30 + 1), *_JUNK]),
+    "--dim": ([None], []),  # a bare switch
+    "--snr-db": (["0", "0,10", "-20"], ["-5,0", "3100", "-4000", "0,nan", "0,,1", *_JUNK]),
+    "--trials": (["1", "2", "3"], ["0", "-3", "1.5", "-" + HUGE, *_JUNK]),
+    "--seed": (["0", "7", HUGE], ["-1", "1.5", *_JUNK]),
+    "--method": (["zf", "opt"], ["bogus"]),
+    "--csv": (["{dir}/out.csv"], ["{dir}/missing/out.csv"]),
+}
+_ORDER_FLAGS = ("--ma", "--mb")
+_SUBCOMMANDS = {
+    "profile": (*_ORDER_FLAGS, "--csv"),
+    "bounds": _ORDER_FLAGS,
+    "encode": (*_ORDER_FLAGS, "--scheme", "--side", "--public", "--secret", "--levels"),
+    "audit": (*_ORDER_FLAGS, "--scheme", "--side"),
+    "sync-sweep": (*_ORDER_FLAGS, "--step", "--csv"),
+    "mimo": ("--m", "--n", "--dim", "--snr-db", "--trials", "--seed", "--method", "--csv"),
+    "figure": ("--trials", "--seed", "--csv"),
+}
+
+
+def _ignored(command: str, name, given: dict, flag: str) -> bool:
+    """Whether the mode set by the flags drawn so far ignores `flag` (a usage error)."""
+    if command == "mimo" and "--dim" in given:
+        return flag in ("--snr-db", "--trials", "--seed", "--method", "--csv")
+    if command == "figure":
+        return name != "cap_approx" and flag in ("--trials", "--seed")
+    return (given.get("--scheme"), flag) in ((["coop"], "--side"), (["nocoop"], "--levels"))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from([*_SUBCOMMANDS, "bogus"]))
+    argv, name = [command], None
+    if command == "figure":
+        name = draw(st.sampled_from([*FIGURES, "bogus", ABSENT]))
+        argv += [] if name is ABSENT else [name]
+    given = {}
+    for flag in _SUBCOMMANDS.get(command, ()):
+        valid, other = _FLAG_VALUES[flag]
+        if _ignored(command, name, given, flag):
+            kinds = ["absent"] * 3 + ["valid"]  # mostly left out, so most argvs reach the work
+        else:
+            kinds = ["valid"] * 3 + ["other"] * bool(other) + ["absent"]
+        # the default of 1000 trials is a full Monte Carlo run: give --trials where one would run
+        monte_carlo = command == "mimo" and "--dim" not in given or name == "cap_approx"
+        if flag == "--trials" and monte_carlo:
+            kinds = [k for k in kinds if k != "absent"]
+        kind = draw(st.sampled_from(kinds))
+        if kind != "absent":
+            value = draw(st.sampled_from(valid if kind == "valid" else other))
+            given[flag] = [] if value is None else [value]
+    for flag in draw(st.permutations(list(given))):
+        argv += [flag, *given[flag]]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argvs())
+def test_every_argv_exits_0_2_or_3(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [token.replace("{dir}", tmp) for token in argv]
+        code, out, err = invoke(argv)
+        csv_path = next((argv[i + 1] for i, t in enumerate(argv) if t == "--csv"), None)
+        written = Path(csv_path).read_text() if csv_path and os.path.exists(csv_path) else ""
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE), (code, err)
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        assert err == ""
+        assert (out == "") == bool(csv_path) and (written != "") == bool(csv_path)
+        return
+    assert (out, written) == ("", "")
+    lines = err.splitlines()
+    if lines[0].startswith("usage: "):  # argparse's message: usage, then "pnc ...: error: ..."
+        assert code == EXIT_USAGE and ": error: " in lines[-1]
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ") and err.endswith("\n")
