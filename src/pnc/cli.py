@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -273,6 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every run uses, built by build_parser on the first call.
+
+    Parsing leaves it as it was: each parse fills a fresh Namespace, and
+    argparse looks sys.stdout and sys.stderr up when it writes.
+    """
+    return build_parser()
+
+
 def _cannot_write(err, path: str, exc: OSError) -> int:
     err.write(f"error: cannot write {path}: {exc.strerror}\n")
     return EXIT_USAGE
@@ -291,7 +302,7 @@ def run(argv=None, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     mode, ignored = _ignored_flags(args)

@@ -69,6 +69,7 @@ grows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -240,17 +241,28 @@ def _interval_lengths(M_A: int, M_B: int) -> np.ndarray:
     return h
 
 
-def _bound(M_A: int, M_B: int, y_forms, u_forms, box=None) -> float:
-    """The bound at offsets whose Y and U the forms key; box is _box(M_A, M_B) or None."""
+def _receiver(M_A: int, u_forms) -> float:
+    """I(U; X_A) for the U that the forms key over the cells (x_A, x_A_prev - x_A).
+
+    Each cell is reached by its rank x_A alone; mi_bits reads the transpose
+    of the table, with the U classes on the rows.
+    """
+    i, i_prev = np.indices((M_A, M_A)).reshape(2, -1)
+    return mi_bits(_relay_table(M_A, u_forms, (i, i_prev - i, i, i)).T)
+
+
+def _bound(M_A: int, M_B: int, y_forms, u_forms, box=None, receiver=_receiver) -> float:
+    """The bound at offsets whose Y and U the forms key.
+
+    box is _box(M_A, M_B) or None, and receiver(M_A, u_forms) is I(U; X_A);
+    a sweep passes one box and a cached receiver to share them over its grid.
+    """
     if y_forms == _IDENTITY and len(u_forms) == 2:
         # every cell is its own class and U is injective: the bound is H(X_A | Y)
         L = np.arange(2, M_A + 1)
         h = _interval_lengths(M_A, M_B)[2:]
         return float(np.sum(h * (L * np.log2(L)))) / (M_A * M_B) ** 2
-    # U over the cells (x_A, x_A_prev - x_A), each reached by its rank x_A alone;
-    # mi_bits reads the transpose with the U classes on the rows
-    i, i_prev = np.indices((M_A, M_A)).reshape(2, -1)
-    i_receiver = mi_bits(_relay_table(M_A, u_forms, (i, i_prev - i, i, i)).T)
+    i_receiver = receiver(M_A, u_forms)
     i_ray = mi_bits(_relay_table(M_A, y_forms, _box(M_A, M_B) if box is None else box))
     return max(i_receiver - i_ray, 0.0)
 
@@ -288,12 +300,13 @@ def sync_sweep(M_A: int, M_B: int, grid_step: float = 0.05) -> list[tuple[float,
     _validate_orders(M_A, M_B)
     grid = [_exact(r) for r in _offsets(grid_step)]
     box = _box(M_A, M_B)
+    receiver = functools.cache(_receiver)  # I(U; X_A) by u_forms, for this sweep only
     bounds, rows = {}, []
     for a in grid:
         u_forms = _forms([a])
         for b in grid:
             cls = (_classes(M_A, M_B, a, b), u_forms)
             if cls not in bounds:
-                bounds[cls] = _bound(M_A, M_B, *cls, box)
+                bounds[cls] = _bound(M_A, M_B, *cls, box, receiver)
             rows.append((float(a[0]), float(b[0]), bounds[cls]))
     return rows

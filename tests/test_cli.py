@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pnc.cli
 import pnc.encoders
 import pnc.sync
 from pnc.cli import (
@@ -22,6 +23,7 @@ from pnc.cli import (
     _csv,
     _fmt,
     _profile_rows,
+    build_parser,
     run,
 )
 from pnc.constellation import pam_sum_profile
@@ -727,3 +729,51 @@ def test_every_argv_exits_0_2_or_3(argv):
         assert code == EXIT_USAGE and ": error: " in lines[-1]
     else:
         assert len(lines) == 1 and lines[0].startswith("error: ") and err.endswith("\n")
+
+
+# --- one parser per process -----------------------------------------------------
+
+
+def fresh(argv):
+    """invoke(argv) on a newly built parser, as the first run of a process has it."""
+    pnc.cli._parser.cache_clear()
+    return invoke(argv)
+
+
+def test_the_parser_is_built_once(monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    pnc.cli._parser.cache_clear()
+    monkeypatch.setattr(pnc.cli, "build_parser", counted)
+    assert invoke(["bounds", "--ma", "4", "--mb", "16"])[0] == EXIT_OK
+    assert invoke(["profile", "--ma", "4", "--mb", "16"])[0] == EXIT_OK
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "first, then, codes",
+    [
+        ("audit --ma 4 --mb 16 --scheme coop --side bob", "audit --ma 4 --mb 16 --scheme coop", (2, 0)),
+        ("mimo --m 4 --n 3 --dim --trials 5", "mimo --m 4 --n 3 --dim", (2, 0)),
+        ("--help", "audit --ma 4 --mb 16 --scheme bogus", (0, 2)),
+    ],
+)
+def test_a_run_leaves_nothing_for_the_next(first, then, codes):
+    expected = [fresh(first.split()), fresh(then.split())]
+    pnc.cli._parser.cache_clear()
+    assert [invoke(first.split()), invoke(then.split())] == expected
+    assert tuple(code for code, _, _ in expected) == codes
+
+
+@settings(max_examples=50, deadline=None)
+@given(argvs=st.lists(_argvs(), min_size=2, max_size=6))
+def test_the_shared_parser_carries_nothing_between_runs(argvs):
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = [[token.replace("{dir}", tmp) for token in argv] for argv in argvs]
+        expected = [fresh(argv) for argv in argvs]
+        pnc.cli._parser.cache_clear()
+        assert [invoke(argv) for argv in argvs] == expected

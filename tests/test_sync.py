@@ -21,6 +21,7 @@ from pnc.sync import (
     _interval_lengths,
     _key,
     _offsets,
+    _receiver,
     _relay_table,
     _sine,
     alpha_beta,
@@ -251,15 +252,30 @@ class TestSyncSweep:
     def test_each_class_is_evaluated_once(self, monkeypatch):
         calls = []
 
-        def counted(M_A, M_B, y_forms, u_forms, box=None):
+        def counted(M_A, M_B, y_forms, u_forms, *shared):
             calls.append((y_forms, u_forms))
-            return _bound(M_A, M_B, y_forms, u_forms, box)
+            return _bound(M_A, M_B, y_forms, u_forms, *shared)
 
         monkeypatch.setattr(pnc.sync, "_bound", counted)
         rows = sync_sweep(4, 16, grid_step=0.05)
         classes = {(_classes(4, 16, a, b), _forms([a])) for a in GRID_05 for b in GRID_05}
         assert len(rows) == 441
         assert len(calls) == len(set(calls)) == len(classes) < 100
+
+    def test_receiver_term_is_computed_once_per_u(self, monkeypatch):
+        calls = []
+
+        def counted(M_A, u_forms):
+            calls.append(u_forms)
+            return _receiver(M_A, u_forms)
+
+        monkeypatch.setattr(pnc.sync, "_receiver", counted)
+        rows = sync_sweep(8, 32, grid_step=0.25)
+        assert len(calls) == len(set(calls)) > 0
+        assert set(calls) <= {_forms([_exact(Fraction(i, 4))]) for i in range(5)}
+        # a sweep's cache ends with it: the next sweep computes each term again
+        assert sync_sweep(8, 32, grid_step=0.25) == rows
+        assert len(calls) == 2 * len(set(calls))
 
     @pytest.mark.parametrize("orders", [(4, 16), (8, 32)])
     def test_sweep_matches_float_formula(self, orders):
